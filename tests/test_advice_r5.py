@@ -98,3 +98,22 @@ def test_trained_ivf_parity_on_big_dirty_table(ray_session,
     g = got[cols].sort_values(cols).reset_index(drop=True)
     w = want[cols].sort_values(cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(g, w, check_dtype=False)
+
+
+def test_sql_round_half_away_matches_duckdb_near_ties():
+    """``floor(v + 0.5)`` rounds 0.5 - 2^-54 up to 1 because the sum is
+    inexact; DuckDB's std::round keeps it at 0. Pin the value, its
+    sign and the sign of zero."""
+    import math
+
+    from whitebox_geospatial_analysis_tools_ray.stages.util import sql_round
+
+    con = duckdb.connect()
+    for v in (0.49999999999999994, -0.49999999999999994, 2.5, -2.5,
+              4.999999999999999, -4.999999999999999):
+        for nd in (0, 2):
+            duck = float(con.execute(
+                "SELECT round(CAST(? AS DOUBLE), ?)", [v, nd]).fetchone()[0])
+            got = sql_round(v, nd)
+            assert got == duck, (v, nd, got, duck)
+            assert math.copysign(1.0, got) == math.copysign(1.0, duck), (v, nd)

@@ -1,12 +1,13 @@
-"""Driver-mirror correctness sweep: run EVERY queries() entry with an
-oracle_sql() entry at the given sf dir (default the driver's sf0.01)
-and compare exactly the way the driver does (columns sorted by name,
-rows sorted by all columns, exact values). Rows-only queries are run
-for rows>0/schema sanity.
+"""Driver-mirror correctness sweep: run every queries() entry (or only
+the named ones) with an oracle_sql() entry at the given sf dir and
+compare exactly the way the driver does (columns sorted by name, rows
+sorted by all columns, exact values). Rows-only queries are run for
+rows>0/schema sanity.
 
-Usage:  python tools/parity_sweep.py [sf_dir]
+Usage:  python tools/parity_sweep.py sf_dir [name ...]
 """
 import json
+import os
 import sys
 import time
 
@@ -14,7 +15,9 @@ import duckdb
 import pandas as pd
 import ray
 
-SF = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
+if len(sys.argv) < 2:
+    sys.exit(__doc__)
+SF = sys.argv[1]
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
 
@@ -23,7 +26,7 @@ ray.init(address="local", num_cpus=8, include_dashboard=False,
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import __ray_entry__ as e
 
 con = duckdb.connect()
@@ -46,8 +49,9 @@ def canonical(df: pd.DataFrame) -> pd.DataFrame:
 
 
 qs, oracles = e.queries(), e.oracle_sql()
+names = sys.argv[2:] or sorted(qs)
 fails, ok, rows_only = [], 0, 0
-for i, name in enumerate(sorted(qs)):
+for i, name in enumerate(names):
     t0 = time.perf_counter()
     try:
         res = qs[name](SF)
@@ -75,9 +79,9 @@ for i, name in enumerate(sorted(qs)):
             ok += 1
             status = "ok"
     except Exception as ex:
-        fails.append((name, repr(ex)[:200]))
+        fails.append((name, repr(ex)[:300]))
         status = "FAIL"
-    print(f"{i + 1}/{len(qs)} {name} {status} "
+    print(f"{i + 1}/{len(names)} {name} {status} "
           f"{time.perf_counter() - t0:.1f}s", flush=True)
 
 print(json.dumps({"sf": SF, "ok": ok, "rows_only": rows_only,

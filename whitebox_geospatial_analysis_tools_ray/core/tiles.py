@@ -169,40 +169,3 @@ class HexGrid:
                 best_d2 = np.where(take, d2, best_d2)
                 best_idx = np.where(take, idx, best_idx)
         return best_idx
-
-
-def hex_tile_sql(x: str, y: str, g: HexGrid) -> str:
-    """SQL expression equal to ``HexGrid.hex_of`` (4-candidate argmin).
-
-    Emits a nested CASE over the 4 (row, col) candidates. Constants are
-    precomputed on the driver from the same HexGrid, so float arithmetic
-    (one multiply + subtract per candidate) matches numpy exactly.
-    """
-    hw, w, tqh = g.half_width, g.width, g.tq_height
-    cx0, cy0 = g.cx0, g.cy0
-    nrows, ce, co = g.n_rows, g.cols_even, g.cols_odd
-
-    def cand(dr: int, dc: int) -> tuple[str, str]:
-        row = (f"least(greatest(CAST(floor(({cy0!r} - ({y})) / {tqh!r}) AS BIGINT)"
-               f" + {dr}, 0), {nrows - 1})")
-        rowoff = f"({cx0!r} - {hw!r} * (({row}) % 2))"
-        ncols = f"(CASE WHEN ({row}) % 2 = 0 THEN {ce} ELSE {co} END)"
-        col = (f"least(greatest(CAST(floor((({x}) - {rowoff}) / {w!r}) AS BIGINT)"
-               f" + {dc}, 0), {ncols} - 1)")
-        cx = f"({rowoff} + ({col}) * {w!r})"
-        cy = f"({cy0!r} - ({row}) * {tqh!r})"
-        d2 = f"((({x}) - {cx}) * (({x}) - {cx}) + (({y}) - {cy}) * (({y}) - {cy}))"
-        start = f"((({row}) + 1) // 2 * {ce} + ({row}) // 2 * {co})"
-        idx = f"({start} + ({col}))"
-        return d2, idx
-
-    cands = [cand(dr, dc) for dr in (0, 1) for dc in (0, 1)]
-    # argmin with (d2, idx) lexicographic tie-break, as in hex_of.
-    expr = f"{cands[0][1]}"
-    best_d2 = f"{cands[0][0]}"
-    best_idx = expr
-    for d2, idx in cands[1:]:
-        take = f"(({d2}) < ({best_d2}) OR (({d2}) = ({best_d2}) AND ({idx}) < ({best_idx})))"
-        best_idx = f"(CASE WHEN {take} THEN {idx} ELSE {best_idx} END)"
-        best_d2 = f"(CASE WHEN {take} THEN {d2} ELSE {best_d2} END)"
-    return best_idx

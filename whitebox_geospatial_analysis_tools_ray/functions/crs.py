@@ -99,21 +99,6 @@ def utm_to_ll(easting, northing, zone, southern=False,
     return phi / _DRAD, zcm + lon / _DRAD
 
 
-def project_points(ds, lat_col: str = "y", lon_col: str = "x",
-                   zone: int | None = None):
-    """Stateless MB stage: add easting/northing/zone columns."""
-    import pandas as pd
-
-    def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        e_, n_, z_ = ll_to_utm(batch[lat_col].to_numpy(),
-                               batch[lon_col].to_numpy(), zone)
-        batch = batch.copy()
-        batch["easting"], batch["northing"], batch["utm_zone"] = e_, n_, z_
-        return batch
-
-    return ds.map_batches(fn, batch_format="pandas")
-
-
 def utm_project_query(sf_dir: str, round_to: int = 4):
     """CoordinateSystemTransformation as a query: geocode document points
     to (lat, lon) and project to UTM. Output

@@ -2,10 +2,10 @@
 
 documents (web pages) → geocode to point features → tile assignment
 (TileLasFile rule over the world extent) → broadcast spatial join
-against the polygon zone table (even-odd PIP with per-actor grid index)
-→ per-(tile, zone) aggregation. One scan of the input, one small
-shuffle of pre-aggregated partials — the shape that must hold at
-10^12 documents.
+against the polygon zone table (even-odd PIP, grid index cached per
+worker process) → per-(tile, zone) aggregation. One scan of the input,
+one small shuffle of pre-aggregated partials — the shape that must hold
+at 10^12 documents.
 """
 
 from __future__ import annotations
@@ -15,58 +15,63 @@ import pandas as pd
 import ray
 import ray.data as rd
 
-from ..core.features import doc_points, rect_zones, seeded_polygons
-from ..core.rng import EAST, NORTH, SOUTH, WEST
+from ..core.features import seeded_polygons
+from ..core.rng import EAST, NORTH, SOUTH, WEST, geocode_xy
 from ..core.tiles import RectGrid
-from ..stages.spatial_join import BroadcastPIPJoin, _zone_bbox
+from ..stages.spatial_join import BroadcastPIPJoin, cached_join
+from ..stages.util import combine_bounded
+
+KEYS = ["tile_id", "zone_id"]
 
 
-def flagship(sf_dir: str, tile_width: float = 250.0,
-             use_polygons: bool = True) -> "rd.Dataset":
-    """Returns (tile_id, zone_id, n_points) for points falling in zones."""
-    zones = seeded_polygons() if use_polygons else rect_zones()
-    for z in zones:
-        z["bbox"] = _zone_bbox(z)
-    zones_ref = ray.put(zones)
+def zone_tile_counts(ds: "rd.Dataset", points, tile_width: float,
+                     count_col: str, sum_col: str | None = None,
+                     **map_args) -> "rd.Dataset":
+    """The fused geo-join kernel both flagships share.
+
+    Per batch: ``points(batch) -> (x, y, w)`` → PIP pairs against the
+    broadcast polygon zones (index cached per worker process) → tile id
+    → partial (count, Σw) per (tile, zone); ``w`` may be None when only
+    counts are wanted. One task pass per batch, then one bounded-key
+    combine. Returns (tile_id, zone_id, <count_col>[, <sum_col>]).
+
+    A plain task, not an actor pool: the index build is ~3 ms for a
+    broadcast-sized zone table and is cached per worker process, while
+    an actor costs ~1-2 s to spin up and, on a 1-CPU session, holds the
+    only CPU so the read tasks never run.
+    """
+    zones_ref = ray.put(seeded_polygons())
     grid = RectGrid.from_extent(WEST, SOUTH, EAST, NORTH,
                                 width_x=tile_width, width_y=tile_width)
 
-    class GeoJoin:
-        """Actor: geocode + tile-assign + PIP join + partial count, fused
-        into one pass over each Arrow batch (no intermediate shuffle)."""
+    def geo_join(batch) -> pd.DataFrame:
+        x, y, w = points(batch)
+        pairs = cached_join(BroadcastPIPJoin, zones_ref, "inner")(
+            {"rec_id": np.arange(len(x), dtype=np.int64), "x": x, "y": y})
+        pos = pairs["rec_id"].to_numpy()
+        df = pd.DataFrame({"tile_id": grid.tile_of(x[pos], y[pos]),
+                           "zone_id": pairs["zone_id"].to_numpy(),
+                           "w": 0 if w is None else w[pos]})
+        g = df.groupby(KEYS, sort=False)["w"]
+        return g.agg(c="count", s="sum").reset_index()
 
-        def __init__(self):
-            zs = ray.get(zones_ref) if isinstance(zones_ref, ray.ObjectRef) else zones_ref
-            self.join = BroadcastPIPJoin(zs, mode="inner")
-            self.zones = zs
+    aggs = {count_col: ("c", "sum")}
+    if sum_col:
+        aggs[sum_col] = ("s", "sum")
 
-        def __call__(self, batch) -> pd.DataFrame:
-            pts = doc_points(batch)
-            pairs = self.join(pts)
-            if len(pairs) == 0:
-                return pd.DataFrame({"tile_id": pd.Series([], dtype="int64"),
-                                     "zone_id": pd.Series([], dtype="int64"),
-                                     "c": pd.Series([], dtype="int64")})
-            # join back x/y by rec position to compute the tile id
-            lut = pd.Series(np.arange(len(pts["rec_id"])), index=pts["rec_id"])
-            pos = lut[pairs["rec_id"].to_numpy()].to_numpy()
-            tile = grid.tile_of(pts["x"][pos], pts["y"][pos])
-            df = pd.DataFrame({"tile_id": tile,
-                               "zone_id": pairs["zone_id"].to_numpy()})
-            return (df.groupby(["tile_id", "zone_id"], sort=False)
-                    .size().rename("c").reset_index())
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "n_chars"])
-    from ..stages.util import pool_size
-    partials = ds.map_batches(GeoJoin, batch_format="numpy",
-                              concurrency=pool_size(), batch_size=32768)
-    # bounded-key final combine (tiles × zones): one pandas task —
-    # scale-independent, no sort-aggregate fixed tail (see util).
     def combine(df: pd.DataFrame) -> pd.DataFrame:
-        g = (df.groupby(["tile_id", "zone_id"], sort=True)["c"].sum()
-             .reset_index().rename(columns={"c": "n_points"}))
-        return g.astype({"n_points": "int64"})
+        g = df.groupby(KEYS, sort=True).agg(**aggs).reset_index()
+        return g.astype({c: "int64" for c in aggs})
 
-    from ..stages.util import combine_bounded
-    return combine_bounded(partials, combine)
+    return combine_bounded(ds.map_batches(geo_join, **map_args), combine)
+
+
+def flagship(sf_dir: str, tile_width: float = 250.0) -> "rd.Dataset":
+    """Returns (tile_id, zone_id, n_points) for points falling in zones."""
+    def doc_xy(batch):
+        x, y = geocode_xy(np.asarray(batch["doc_id"], dtype=np.int64))
+        return x, y, None
+
+    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    return zone_tile_counts(ds, doc_xy, tile_width, "n_points",
+                            batch_format="numpy", batch_size=32768)

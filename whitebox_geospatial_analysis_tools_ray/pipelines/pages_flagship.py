@@ -3,8 +3,10 @@
 pages(url, warc_ts, html, text, lang) → extract text from html (frozen
 byte-identical extractor) → geocode url → point → tile assignment
 (TileLasFile rule) → broadcast PIP join against the polygon zone layer →
-per-(tile, zone) partial count → tiny groupby. One fused actor-pool pass
-over each Arrow batch; the only shuffle moves pre-aggregated partials.
+per-(tile, zone) partial count → tiny groupby. One fused task pass over
+each Arrow batch (the kernel shared with ``flagship``:
+:func:`.flagship.zone_tile_counts`); the only shuffle moves
+pre-aggregated partials.
 
 Column pruning: only (url, html) are read — ``text``/``lang`` never
 leave the Parquet files (the extractor reproduces text byte-identically,
@@ -17,20 +19,12 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-import pandas as pd
 import ray
 import ray.data as rd
 
-from ..core.features import seeded_polygons
-from ..core.rng import EAST, NORTH, SOUTH, WEST, geocode_xy
-from ..core.tiles import RectGrid
+from ..core.rng import geocode_xy
 from ..sources.pages import extract_texts
-from ..stages.spatial_join import BroadcastPIPJoin, _zone_bbox
-
-
-# worker-process cache of built BroadcastPIPJoin indexes, keyed by the
-# broadcast ObjectRef (see extract_geo_join)
-_JOIN_CACHE: dict = {}
+from .flagship import zone_tile_counts
 
 
 def url_ids(urls) -> np.ndarray:
@@ -40,70 +34,29 @@ def url_ids(urls) -> np.ndarray:
 
 
 def url_ids_arrow(col) -> np.ndarray:
-    """Same crc32 ids computed straight off the Arrow string buffer.
-    Round-5: delegates to the vectorized table-driven CRC
-    (stages/vhash.crc32_rows — length-sorted column-contiguous numpy,
-    bit-identical to zlib.crc32, pinned by a hypothesis battery), so
-    the hot path runs ~max(len(url)) numpy steps per batch instead of
-    one Python iteration per row (measured 37 → 28 ms / 100k urls,
-    and no per-row interpreter work)."""
+    """Same crc32 ids computed straight off the Arrow string buffer via
+    the vectorized table-driven CRC (stages/vhash.crc32_rows —
+    length-sorted column-contiguous numpy, bit-identical to zlib.crc32,
+    pinned by a hypothesis battery), so the hot path runs
+    ~max(len(url)) numpy steps per batch instead of one Python
+    iteration per row."""
     from ..stages.vhash import crc32_arrow_strings
     return crc32_arrow_strings(col)
 
 
 def pages_flagship(pages_dir: str, tile_width: float = 250.0) -> "rd.Dataset":
     """Returns (tile_id, zone_id, n_pages, sum_chars)."""
-    zones = seeded_polygons()
-    for z in zones:
-        z["bbox"] = _zone_bbox(z)
-    zones_ref = ray.put(zones)
-    grid = RectGrid.from_extent(WEST, SOUTH, EAST, NORTH,
-                                width_x=tile_width, width_y=tile_width)
-
-    def extract_geo_join(batch) -> pd.DataFrame:
-        """Stateless task: html→text, url→point, tile assign, PIP join,
-        partial count — one pass per batch. The zone grid index build is
-        ~3 ms for a broadcast-sized zone table, so a plain task (warm Ray
-        workers, zones cached per node in the object store) beats an
-        actor pool: pool spin-up costs ~1-2 s per actor, dominating a
-        stage whose whole UDF work is seconds. Actor pools stay the
-        pattern for EXPENSIVE state (models, big indexes) — see
-        stages/dedup.MinHasher. Batches arrive as Arrow tables: the
-        vectorized extractor and the crc32 ids read the binary/string
-        buffers zero-copy instead of materializing per-row bytes/str."""
-        # per-PROCESS join cache: the grid index build is ~3 ms — noise
-        # for a 15k-row wave but a real tax when a many-small-files
-        # layout hands the fused map one sub-4k batch PER FILE (the
-        # 512-shard rehearsal: 513 calls/run). Ray reuses worker
-        # processes, so cache the built index keyed by the broadcast
-        # ref; the object itself still lives in the object store.
-        key = zones_ref.hex() if hasattr(zones_ref, "hex") else id(zones_ref)
-        join = _JOIN_CACHE.get(key)
-        if join is None:
-            join = BroadcastPIPJoin(zones_ref, mode="inner")
-            _JOIN_CACHE.clear()     # one corpus at a time; bound memory
-            _JOIN_CACHE[key] = join
+    def page_points(batch):
+        """html→text, url→CRC32 id→point. Batches arrive as Arrow
+        tables: the vectorized extractor and the crc32 ids read the
+        binary/string buffers zero-copy instead of materializing
+        per-row bytes/str."""
         texts = extract_texts(batch.column("html"))
         ids = url_ids_arrow(batch.column("url"))
         x, y = geocode_xy(ids)
         n_chars = np.fromiter((len(t) for t in texts), dtype=np.int64,
                               count=len(texts))
-        pts = {"rec_id": np.arange(len(ids), dtype=np.int64),
-               "x": x, "y": y}
-        pairs = join(pts)
-        if len(pairs) == 0:
-            return pd.DataFrame({
-                "tile_id": pd.Series([], dtype="int64"),
-                "zone_id": pd.Series([], dtype="int64"),
-                "c": pd.Series([], dtype="int64"),
-                "s": pd.Series([], dtype="int64")})
-        pos = pairs["rec_id"].to_numpy()
-        df = pd.DataFrame({
-            "tile_id": grid.tile_of(x[pos], y[pos]),
-            "zone_id": pairs["zone_id"].to_numpy(),
-            "chars": n_chars[pos]})
-        g = df.groupby(["tile_id", "zone_id"], sort=False)["chars"]
-        return g.agg(c="count", s="sum").reset_index()
+        return x, y, n_chars
 
     # Read fan-out: one task per shard file WHEN files are few (Ray's
     # default parallelism caps below the file count, idling CPUs on
@@ -129,21 +82,6 @@ def pages_flagship(pages_dir: str, tile_width: float = 250.0) -> "rd.Dataset":
     # tasks (4 clean waves on 32 CPUs) and read→map fusion; bundling to
     # larger batches made 43 ragged tasks whose last wave idled a third
     # of the machine.
-    partials = ds.map_batches(extract_geo_join, batch_format="pyarrow",
-                              batch_size=None)
-
-    # Final combine: the partials are pre-aggregated to O(tiles × zones)
-    # rows — a few MB at ANY input scale — so a sort-based distributed
-    # groupby here is pure fixed-cost tail (it was ~4 s of the 32-CPU
-    # wall, capping scaling efficiency). One single-task pandas combine
-    # keeps the tail O(partial rows) and scale-independent.
-    def final_combine(df: pd.DataFrame) -> pd.DataFrame:
-        g = (df.groupby(["tile_id", "zone_id"], sort=True)
-             .agg(n_pages=("c", "sum"), sum_chars=("s", "sum"))
-             .reset_index())
-        g["n_pages"] = g["n_pages"].astype("int64")
-        g["sum_chars"] = g["sum_chars"].astype("int64")
-        return g
-
-    return partials.repartition(1).map_batches(
-        final_combine, batch_format="pandas", batch_size=None)
+    return zone_tile_counts(ds, page_points, tile_width, "n_pages",
+                            "sum_chars", batch_format="pyarrow",
+                            batch_size=None)

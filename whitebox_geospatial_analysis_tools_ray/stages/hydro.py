@@ -1951,12 +1951,6 @@ def avg_slope_to_divide(spec: RasterSpec | None = None,
                                        output="slope_to_divide")
 
 
-def _json_load_triples(s: str) -> dict:
-    import json as _json
-    return {k: (float(v[0]), float(v[1]), float(v[2]))
-            for k, v in _json.loads(s).items()}
-
-
 def avg_upslope_flowpath_length_naive(spec: RasterSpec,
                                       round_to: int = 4,
                                       output: str = "avg_len"

@@ -92,21 +92,6 @@ def image_features(sf_dir: str, batch_size: int = 256) -> "rd.Dataset":
         concurrency=pool_size(), batch_size=batch_size)
 
 
-def resize_stub(ds: "rd.Dataset", width: int, height: int) -> "rd.Dataset":
-    """Historical placeholder kept for the FAKEIMG path — the REAL
-    resize stage is ImageResizer below (nearest-neighbour over the
-    from-scratch codecs, exact oracle `image_resize_stats`)."""
-
-    class Resizer:
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            raise NotImplementedError(
-                "resize requires an image library (PIL) not present here")
-
-    from .util import pool_size
-    return ds.map_batches(Resizer, batch_format="pandas",
-                          concurrency=pool_size())
-
-
 # ---------------------------------------------------------------------------
 # Video frame sampling: opaque FAKEVID container (deterministic stand-in
 # for an MP4 — b"FAKEVID" + u32 n_frames + u32 fps + per-frame u32

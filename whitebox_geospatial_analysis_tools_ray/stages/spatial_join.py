@@ -9,9 +9,10 @@ Reference semantics:
 Two physical strategies (SURVEY.md §7.3/7.4):
 
 1. **Broadcast** (small zone side): the zone table is ``ray.put`` once;
-   a callable-class actor pool builds a coarse grid index over zone
-   bboxes ONCE PER ACTOR in ``__init__`` and streams point batches
-   through vectorized bbox prefilter + exact even-odd PIP refine.
+   a plain ``map_batches`` task builds a coarse grid index (or R-tree)
+   over zone bboxes ONCE PER WORKER PROCESS and caches it
+   (:func:`cached_join`), then streams point batches through a
+   vectorized bbox prefilter + exact even-odd PIP refine.
 2. **Cell-partitioned shuffle** (both sides large): both sides get an
    H3/S2-style cell key (RectGrid tile id); zones are duplicated into
    every cell their bbox overlaps; ``groupby(cell).map_groups`` runs the
@@ -33,7 +34,8 @@ from ..core.tiles import RectGrid
 
 class ZoneGridIndex:
     """Coarse uniform-grid index over zone bounding boxes (pure numpy,
-    the environment's stand-in for an STRtree). Built once per actor."""
+    the environment's stand-in for an STRtree). Built once per worker
+    process."""
 
     def __init__(self, zones: list[dict], ncells: int = 16):
         self.zones = zones
@@ -84,21 +86,48 @@ def _zone_bbox(z: dict) -> tuple:
     return (z["xmin"], z["ymin"], z["xmax"], z["ymax"])
 
 
-class BroadcastPIPJoin:
-    """Actor-pool stage: inner / semi / anti spatial join of streamed
-    points against a broadcast zone table.
+def _load_zones(zones_ref) -> list[dict]:
+    """Fetch a broadcast zone table and fill each zone's ``bbox``."""
+    zones = ray.get(zones_ref) if isinstance(zones_ref, ray.ObjectRef) else zones_ref
+    for z in zones:
+        z["bbox"] = _zone_bbox(z)
+    return zones
 
-    ``__init__`` runs once per actor: fetch zones from the object store
-    and build the grid index (mirrors Clip.java:253-269's one-time
-    merged clip geometry).
+
+def _pairs_frame(recs: list, zids: list) -> pd.DataFrame:
+    """(rec_id, zone_id) int64 frame from per-zone chunks; typed when empty."""
+    if not recs:
+        return pd.DataFrame({"rec_id": np.array([], dtype=np.int64),
+                             "zone_id": np.array([], dtype=np.int64)})
+    return pd.DataFrame({"rec_id": np.concatenate(recs),
+                         "zone_id": np.concatenate(zids)})
+
+
+def _refine_pairs(zone_rows, x: np.ndarray, y: np.ndarray,
+                  rec: np.ndarray) -> pd.DataFrame:
+    """Inner refine: for each (zone, candidate rows) the exact predicate
+    keeps the hits, emitted as (rec_id, zone_id) pairs in zone order."""
+    recs, zids = [], []
+    for z, rows in zone_rows:
+        hit = _zone_hit_mask(z, x[rows], y[rows])
+        if hit.any():
+            recs.append(rec[rows][hit])
+            zids.append(np.full(int(hit.sum()), z["zone_id"], dtype=np.int64))
+    return _pairs_frame(recs, zids)
+
+
+class BroadcastPIPJoin:
+    """Inner / semi / anti spatial join of streamed points against a
+    broadcast zone table.
+
+    ``__init__`` fetches the zones from the object store and builds the
+    grid index once per worker process (see :func:`cached_join`; mirrors
+    Clip.java:253-269's one-time merged clip geometry).
     """
 
     def __init__(self, zones_ref, mode: str = "inner"):
-        zones = ray.get(zones_ref) if isinstance(zones_ref, ray.ObjectRef) else zones_ref
-        for z in zones:
-            z["bbox"] = _zone_bbox(z)
-        self.zones = zones
-        self.index = ZoneGridIndex(zones)
+        self.zones = _load_zones(zones_ref)
+        self.index = ZoneGridIndex(self.zones)
         self.mode = mode
 
     def __call__(self, batch: dict) -> pd.DataFrame:
@@ -107,23 +136,13 @@ class BroadcastPIPJoin:
         rec = np.asarray(batch["rec_id"], dtype=np.int64)
         cand = self.index.candidates(x, y)
         if self.mode == "inner":
-            recs, zids = [], []
-            for zi, mask in cand.items():
-                z = self.zones[zi]
-                bb = z["bbox"]
-                m = mask & (x >= bb[0]) & (x <= bb[2]) & (y >= bb[1]) & (y <= bb[3])
-                if not m.any():
-                    continue
-                hit = np.zeros(len(x), dtype=bool)
-                hit[m] = _zone_hit_mask(z, x[m], y[m])
-                if hit.any():
-                    recs.append(rec[hit])
-                    zids.append(np.full(int(hit.sum()), z["zone_id"], dtype=np.int64))
-            if not recs:
-                return pd.DataFrame({"rec_id": np.array([], dtype=np.int64),
-                                     "zone_id": np.array([], dtype=np.int64)})
-            return pd.DataFrame({"rec_id": np.concatenate(recs),
-                                 "zone_id": np.concatenate(zids)})
+            def zone_rows():
+                for zi, mask in cand.items():
+                    bb = self.zones[zi]["bbox"]
+                    m = mask & (x >= bb[0]) & (x <= bb[2]) & (y >= bb[1]) & (y <= bb[3])
+                    if m.any():
+                        yield self.zones[zi], m
+            return _refine_pairs(zone_rows(), x, y, rec)
         # semi / anti: does each point hit ANY zone?
         any_hit = np.zeros(len(x), dtype=bool)
         for zi, mask in cand.items():
@@ -138,64 +157,68 @@ class BroadcastPIPJoin:
         return pd.DataFrame({"rec_id": rec[keep], "x": x[keep], "y": y[keep]})
 
 
-def broadcast_pip_join(points: "rd.Dataset", zones: list[dict],
-                       mode: str = "inner", concurrency=None) -> "rd.Dataset":
-    from .util import pool_size
-    zones_ref = ray.put(zones)
-    return points.map_batches(
-        BroadcastPIPJoin, fn_constructor_args=(zones_ref, mode),
-        batch_format="numpy", concurrency=concurrency or pool_size(),
-        batch_size=32768)
-
-
 class RTreePIPJoin:
-    """Actor-pool inner PIP join indexed by the packed-Hilbert R-tree
-    (core/rtree.py — the index the north rule names; ZoneGridIndex is
-    the uniform-grid alternative). Tree built ONCE per actor in
-    ``__init__``; per batch one vectorized frontier descent yields
-    (point, zone) bbox candidates, then the exact predicate refines
-    per zone. Output is identical to ``BroadcastPIPJoin(mode=inner)``
-    — only the candidate generator differs."""
+    """Inner PIP join indexed by the packed-Hilbert R-tree (core/rtree.py
+    — the index the north rule names; ZoneGridIndex is the uniform-grid
+    alternative). The tree is built once per worker process (see
+    :func:`cached_join`); per batch one vectorized frontier descent
+    yields (point, zone) bbox candidates, then the exact predicate
+    refines per zone. Output is identical to
+    ``BroadcastPIPJoin(mode=inner)`` — only the candidate generator
+    differs."""
 
     def __init__(self, zones_ref):
         from ..core.rtree import PackedHilbertRTree
-        zones = (ray.get(zones_ref)
-                 if isinstance(zones_ref, ray.ObjectRef) else zones_ref)
-        for z in zones:
-            z["bbox"] = _zone_bbox(z)
-        self.zones = zones
+        self.zones = _load_zones(zones_ref)
         self.tree = PackedHilbertRTree(
-            np.array([z["bbox"] for z in zones], dtype=np.float64))
+            np.array([z["bbox"] for z in self.zones], dtype=np.float64))
 
     def __call__(self, batch: dict) -> pd.DataFrame:
         x = np.asarray(batch["x"], dtype=np.float64)
         y = np.asarray(batch["y"], dtype=np.float64)
         rec = np.asarray(batch["rec_id"], dtype=np.int64)
         prow, zid = self.tree.query_points(x, y)
-        recs, zids = [], []
-        for zi in np.unique(zid):
-            rows = prow[zid == zi]
-            z = self.zones[int(zi)]
-            hit = _zone_hit_mask(z, x[rows], y[rows])
-            if hit.any():
-                recs.append(rec[rows[hit]])
-                zids.append(np.full(int(hit.sum()), z["zone_id"],
-                                    dtype=np.int64))
-        if not recs:
-            return pd.DataFrame({"rec_id": np.array([], dtype=np.int64),
-                                 "zone_id": np.array([], dtype=np.int64)})
-        return pd.DataFrame({"rec_id": np.concatenate(recs),
-                             "zone_id": np.concatenate(zids)})
+        return _refine_pairs(((self.zones[int(zi)], prow[zid == zi])
+                              for zi in np.unique(zid)), x, y, rec)
 
 
-def rtree_pip_join(points: "rd.Dataset", zones: list[dict],
-                   concurrency=None) -> "rd.Dataset":
-    from .util import pool_size
+# worker-process cache of built joins: Ray reuses worker processes, so a
+# plain task builds the zone index once per process instead of once per
+# batch (a many-small-files layout hands the map one small batch per
+# file). Keyed by the broadcast ref; holds one zone table at a time to
+# bound memory. The zone table itself lives in the object store.
+_JOIN_CACHE: dict = {}
+
+
+def cached_join(cls, zones_ref, *args):
+    """This process's ``cls(zones_ref, *args)``, built on first use."""
+    key = (cls, zones_ref.hex(), args)
+    join = _JOIN_CACHE.get(key)
+    if join is None:
+        join = cls(zones_ref, *args)
+        _JOIN_CACHE.clear()
+        _JOIN_CACHE[key] = join
+    return join
+
+
+def _cached_join_map(points: "rd.Dataset", zones: list[dict], cls,
+                     *args) -> "rd.Dataset":
     zones_ref = ray.put(zones)
-    return points.map_batches(
-        RTreePIPJoin, fn_constructor_args=(zones_ref,),
-        batch_format="numpy", concurrency=concurrency or pool_size(),
-        batch_size=32768)
+
+    def pip_join(batch):
+        return cached_join(cls, zones_ref, *args)(batch)
+
+    return points.map_batches(pip_join, batch_format="numpy",
+                              batch_size=32768)
+
+
+def broadcast_pip_join(points: "rd.Dataset", zones: list[dict],
+                       mode: str = "inner") -> "rd.Dataset":
+    return _cached_join_map(points, zones, BroadcastPIPJoin, mode)
+
+
+def rtree_pip_join(points: "rd.Dataset", zones: list[dict]) -> "rd.Dataset":
+    return _cached_join_map(points, zones, RTreePIPJoin)
 
 
 # ---------------------------------------------------------------------------
@@ -240,24 +263,9 @@ def cell_partitioned_pip_join(points: "rd.Dataset", zones: list[dict],
     def _cell_join(cz, cell: int, group: pd.DataFrame) -> pd.DataFrame:
         if salt > 1:
             cell //= salt
-        zlist = cz.get(cell, [])
-        if not zlist:
-            return pd.DataFrame({"rec_id": pd.Series([], dtype="int64"),
-                                 "zone_id": pd.Series([], dtype="int64")})
-        x = group["x"].to_numpy()
-        y = group["y"].to_numpy()
-        rec = group["rec_id"].to_numpy()
-        recs, zids = [], []
-        for z in zlist:
-            hit = _zone_hit_mask(z, x, y)
-            if hit.any():
-                recs.append(rec[hit])
-                zids.append(np.full(int(hit.sum()), z["zone_id"], dtype=np.int64))
-        if not recs:
-            return pd.DataFrame({"rec_id": pd.Series([], dtype="int64"),
-                                 "zone_id": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"rec_id": np.concatenate(recs),
-                             "zone_id": np.concatenate(zids)})
+        return _refine_pairs(((z, slice(None)) for z in cz.get(cell, [])),
+                             group["x"].to_numpy(), group["y"].to_numpy(),
+                             group["rec_id"].to_numpy())
 
     # Bucketed shuffle: cell keys are unbounded (grid size), so shuffle
     # on cell_key % NB (NB ∝ cluster parallelism) and refine each cell
@@ -275,10 +283,7 @@ def cell_partitioned_pip_join(points: "rd.Dataset", zones: list[dict],
         cz = ray.get(cz_ref)
         outs = [_cell_join(cz, int(ck), sub)
                 for ck, sub in g.groupby("cell_key", sort=True)]
-        if not outs:
-            return pd.DataFrame({"rec_id": pd.Series([], dtype="int64"),
-                                 "zone_id": pd.Series([], dtype="int64")})
-        return pd.concat(outs, ignore_index=True)
+        return pd.concat(outs, ignore_index=True) if outs else _pairs_frame([], [])
 
     return (keyed.map_batches(add_bucket, batch_format="numpy")
             .groupby("bucket").map_groups(per_bucket,

@@ -447,14 +447,6 @@ def _image_pair(spec_rows: int = 256, spec_cols: int = 256):
     return left, right
 
 
-def surf_interest_points(values: np.ndarray,
-                         threshold: float = THRESHOLD) -> pd.DataFrame:
-    """Whole-image detector (single-process path used by the mirror)."""
-    ii = integral_image(values)
-    pts = detect_points(ii, threshold=threshold)
-    return pd.DataFrame(pts, columns=["x", "y", "scale", "laplacian"])
-
-
 def surf_pixel_matching(sf_dir: str, threshold: float = THRESHOLD,
                         match_threshold: float = MATCH_THRESHOLD,
                         round_to: int = 6) -> pd.DataFrame:

@@ -27,13 +27,6 @@ def _partial_cell_stats(tile: np.ndarray, z: np.ndarray) -> pd.DataFrame:
     return out
 
 
-def assign_rect_tiles(points: "rd.Dataset", grid: RectGrid) -> "rd.Dataset":
-    def fn(batch):
-        batch["tile_id"] = grid.tile_of(batch["x"], batch["y"])
-        return batch
-    return points.map_batches(fn, batch_format="numpy")
-
-
 def tile_counts(sf_dir: str, width: float = 250.0,
                 origin_x: float = 0.0, origin_y: float = 0.0):
     """Per-tile count + sum/mean of z using the TileLasFile rule.

@@ -8,8 +8,10 @@ def pool_size(cap: int = 16) -> tuple[int, int]:
 
     A FIXED pool equal to the session CPU count deadlocks the streaming
     executor (all CPUs held by idle actors, none left for the upstream
-    read tasks); starting at 1 and autoscaling avoids that while still
-    filling the machine under load.
+    read tasks); starting at 1 avoids that only when the session has
+    more than one CPU. On a 1-CPU session the single actor still holds
+    the only CPU and the stage hangs — which is why the broadcast
+    geo-joins run as plain tasks (``spatial_join.cached_join``).
     """
     try:
         import ray
@@ -254,15 +256,21 @@ def unescape_nul(s):
 def sql_round(x: float, nd: int) -> float:
     """DuckDB's round(DOUBLE, nd): multiply by 10^nd, round HALF-AWAY
     (std::round), divide back — NOT Python's exact-decimal half-even
-    round(). Bit-compatible for |x·10^nd| < 2^52 (the +0.5 is exact
-    there). Use when an impl result must hash-match a DuckDB oracle on
-    values that land on exact binary .5 ties — raster_to_vector_lines'
+    round(). Bit-compatible for every finite double: the tie test uses
+    the fractional part ``a - floor(a)``, which is exact, where
+    ``floor(v + 0.5)`` is not (v = 0.5 - 2^-54 rounds UP to 1 that way).
+    Use when an impl result must hash-match a DuckDB oracle on values
+    that land on exact binary .5 ties — raster_to_vector_lines'
     coordinate sums hit k/32-style ties at 4 dp where the two rounding
     modes visibly diverge."""
     import math
     p = 10.0 ** nd
     v = x * p
-    return (math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)) / p
+    a = abs(v)
+    r = math.floor(a)
+    if a - r >= 0.5:
+        r += 1.0
+    return math.copysign(r, v) / p
 
 
 def keyed_group_sum(df, keys, vals, sort=False):

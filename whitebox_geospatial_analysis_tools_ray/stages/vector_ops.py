@@ -132,19 +132,6 @@ def layer_footprint(ds) -> geom.Polygon:
     return geom.Polygon([final[::-1]])
 
 
-def clip_to_rect(points_ds, xmin: float, ymin: float, xmax: float, ymax: float):
-    """ClipPointsToRect — the Clip.java pattern for point layers:
-    broadcast rectangle, vectorized filter."""
-
-    def fn(batch):
-        x = np.asarray(batch["x"], dtype=np.float64)
-        y = np.asarray(batch["y"], dtype=np.float64)
-        m = (x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)
-        return {k: np.asarray(v)[m] for k, v in batch.items()}
-
-    return points_ds.map_batches(fn, batch_format="numpy")
-
-
 # ---------------------------------------------------------------------------
 # VectorCleaning (VectorTools/src/plugins/VectorCleaning.java, 453 LoC):
 # snap near-coincident vertices to a tolerance grid and drop the
