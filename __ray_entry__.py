@@ -437,7 +437,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "inverse_pca": lambda sf: emb.inverse_pca_embeddings(sf),
         "kmeans_embeddings": lambda sf: emb.kmeans_embeddings(sf),
         "cluster_attributes": lambda sf: emb.cluster_attributes(sf),
-        # --- multimodal (opaque binary media + actor-pool decode) ---
+        # --- multimodal (opaque binary media + plain-task decode) ---
         "image_features": lambda sf: multimodal.image_features(sf),
         "image_features_real": lambda sf: multimodal.image_features_real(sf),
         "image_resize_stats": lambda sf: multimodal.image_resize_stats(sf),

@@ -50,24 +50,59 @@ def test_job_partial_resume(tmp_path, ray_session):
 
 
 def test_image_decoder_rejects_unknown_format():
-    from whitebox_geospatial_analysis_tools_ray.stages.multimodal import ImageDecoder
+    from whitebox_geospatial_analysis_tools_ray.stages.multimodal import (
+        decode_fake_images)
 
-    dec = ImageDecoder()
     with pytest.raises(NotImplementedError):
-        dec(pd.DataFrame({"doc_id": [1], "payload": [b"\xff\xd8JPEGDATA"]}))
+        decode_fake_images(pd.DataFrame({"doc_id": [1],
+                                         "payload": [b"\xff\xd8JPEGDATA"]}))
 
 
 def test_fake_image_roundtrip():
     from whitebox_geospatial_analysis_tools_ray.stages.multimodal import (
-        ImageDecoder, encode_fake_image)
+        decode_fake_images, encode_fake_image)
 
     buf = encode_fake_image(37, b"abcdef")
-    dec = ImageDecoder()
-    out = dec(pd.DataFrame({"doc_id": [37], "payload": [buf]}))
+    out = decode_fake_images(pd.DataFrame({"doc_id": [37], "payload": [buf]}))
     assert out.loc[0, "width"] == 16 + 37 % 64
     assert out.loc[0, "height"] == 16 + (37 * 7) % 48
     assert out.loc[0, "n_payload_bytes"] == 6
 
+
+
+def test_fake_image_decoder_names_bad_doc():
+    from whitebox_geospatial_analysis_tools_ray.stages.multimodal import (
+        decode_fake_images, encode_fake_image)
+
+    batch = pd.DataFrame({"doc_id": [3, 41],
+                          "payload": [encode_fake_image(3, b"ok"),
+                                      b"GIF89a\x01\x00"]})
+    with pytest.raises(NotImplementedError, match=r"doc_id 41\b"):
+        decode_fake_images(batch)
+
+
+@pytest.mark.parametrize("payload, what", [
+    (b"FAKEVIX" + b"\x00" * 12, "not a FAKEVID payload"),
+    (b"FAKEVID", "not a FAKEVID payload"),
+    (b"FAKEVID\x00\x00\x00\x08\x00\x00\x00\x18" + b"\x00" * 8,
+     "truncated")])
+def test_video_sampler_names_bad_doc(payload, what):
+    from whitebox_geospatial_analysis_tools_ray.stages.multimodal import (
+        encode_fake_video, sample_frames)
+
+    batch = pd.DataFrame({"doc_id": [5, 77],
+                          "payload": [encode_fake_video(5), payload]})
+    with pytest.raises(ValueError, match=rf"doc_id 77: .*{what}"):
+        sample_frames(batch)
+
+
+def test_real_image_decoder_names_bad_doc():
+    from whitebox_geospatial_analysis_tools_ray.stages.multimodal import (
+        decode_real_images)
+
+    batch = pd.DataFrame({"doc_id": [12], "payload": [b"RIFF\x00WEBPVP8 "]})
+    with pytest.raises(ValueError, match=r"doc_id 12: unknown image container"):
+        decode_real_images(batch)
 
 def test_audio_frame_stats_mirror(ray_session):
     """Frame RMS matches a pure-numpy replay of the PCM formula; the

@@ -1,13 +1,17 @@
-"""The broadcast geo-joins must finish on a 1-CPU Ray session.
+"""Every map stage must finish on a 1-CPU Ray session.
 
 The session fixture in conftest runs Ray with 4 CPUs, which hides a
 stage that holds the only CPU (an actor pool) while its upstream read
-tasks wait for one. This test drives the joins in a fresh process with
-``num_cpus=1`` under a timeout, and checks each result exactly against
-its DuckDB oracle.
+tasks wait for one. This test drives the broadcast geo-joins and the
+stages with per-worker state (decoders, classifier) in a fresh process
+with ``num_cpus=1`` under a timeout, and checks each result exactly
+against its DuckDB oracle. A source lint keeps actor pools out of the
+package, so every ``map_batches`` stage stays a plain task.
 """
 
+import ast
 import os
+import pathlib
 import signal
 import subprocess
 import sys
@@ -16,8 +20,11 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TESTS = os.path.join(ROOT, "tests")
+PACKAGE = pathlib.Path(ROOT, "whitebox_geospatial_analysis_tools_ray")
 QUERIES = ["flagship", "pip_polygon_join", "pip_rtree_join",
-           "spatial_anti_join"]
+           "spatial_anti_join", "image_features", "image_features_real",
+           "image_resize_stats", "video_frame_sample", "audio_frame_stats",
+           "langid_confusion"]
 TIMEOUT_S = 120
 
 SCRIPT = f"""
@@ -42,7 +49,7 @@ ray.shutdown()
 """
 
 
-def test_geo_joins_finish_on_one_cpu():
+def test_queries_finish_on_one_cpu():
     env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
     proc = subprocess.Popen([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
@@ -55,3 +62,38 @@ def test_geo_joins_finish_on_one_cpu():
         pytest.fail(f"still running after {TIMEOUT_S} s on 1 CPU:\n{out[-3000:]}")
     assert proc.returncode == 0, out[-3000:]
     assert out.count("ok ") == len(QUERIES), out[-3000:]
+
+
+def test_no_actor_pool_stages_in_package():
+    """No ``concurrency=`` argument or parameter anywhere in the package,
+    and no class as the function of a ``map_batches`` call (which Ray
+    runs as an actor pool)."""
+    trees = {p: ast.parse(p.read_text()) for p in sorted(PACKAGE.rglob("*.py"))}
+    classes = {n.name for t in trees.values() for n in ast.walk(t)
+               if isinstance(n, ast.ClassDef)}
+    offenders = []
+    for path, tree in trees.items():
+        where = path.relative_to(ROOT)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arguments):
+                for a in node.args + node.kwonlyargs:
+                    if a.arg == "concurrency":
+                        offenders.append(f"{where}:{a.lineno}: "
+                                         "concurrency parameter")
+            if not isinstance(node, ast.Call):
+                continue
+            for kw in node.keywords:
+                if kw.arg == "concurrency":
+                    offenders.append(f"{where}:{kw.value.lineno}: "
+                                     "concurrency= argument")
+            if (isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "map_batches"):
+                fn = node.args[0] if node.args else next(
+                    (kw.value for kw in node.keywords if kw.arg == "fn"), None)
+                name = getattr(fn, "id", getattr(fn, "attr", ""))
+                if name in classes or name[:1].isupper():
+                    offenders.append(f"{where}:{node.lineno}: map_batches "
+                                     f"over class {name}")
+    assert not offenders, (
+        "actor-pool stage; run it as a plain task and keep per-process "
+        "state in a module cache:\n" + "\n".join(offenders))

@@ -7132,7 +7132,7 @@ SELECT rec_id, row, col, round(value, 6) AS value FROM v
 # ---------------------------------------------------------------------------
 
 def langid_confusion_sql() -> str:
-    """Exact mirror of stages/textops.LangId: whitespace-token SET,
+    """Exact mirror of stages/textops.predict_lang: whitespace-token SET,
     per-language stopword-overlap scores, ties broken by the first
     language in sorted() order (de < en < es < fr < it), zero best
     score → 'unknown'."""

@@ -220,60 +220,58 @@ def _mod_mersenne_affine(a: np.ndarray, b: np.ndarray,
     return out.view(np.int64)
 
 
-class MinHasher:
-    """Actor-pool stage: minhash signatures + LSH band keys per doc.
-
-    Hash params generated once per actor in __init__ (seeded — identical
-    on every actor). The whole batch computes as ONE (64 × total-
-    shingles) affine pass + per-doc ``minimum.reduceat`` (no per-doc
-    matmul), and band keys are a uint64 polynomial mix of the band's
-    signature rows (64-bit — the same collision odds as the previous
-    truncated md5, ~10⁵ keys²/2⁶⁴, without 16 hashlib calls per doc)."""
-
-    def __init__(self, seed: int = 42):
-        self.a, self.b = _minhash_params(seed)
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        rpb = _NUM_HASHES // _BANDS
-        crcs_list = [_shingle_crcs(t) for t in batch["text"]]
-        nsh = np.array([len(c) for c in crcs_list], dtype=np.int64)
-        if len(nsh) == 0 or nsh.sum() == 0:
-            return pd.DataFrame({"band_id": pd.Series([], dtype="int64"),
-                                 "band_hash": pd.Series([], dtype="int64"),
-                                 "doc_id": pd.Series([], dtype="int64")})
-        offs = np.concatenate([[0], np.cumsum(nsh)[:-1]])
-        # boilerplate-heavy web batches repeat shingles across docs —
-        # run the affine pass over the batch-UNIQUE crcs only and
-        # gather (measured ~2× fewer affine columns at sf0.1)
-        ux, inv = np.unique(np.concatenate(crcs_list),
-                            return_inverse=True)
-        # row-major layout so the per-shingle gather is a contiguous
-        # 512-byte memcpy per row instead of a 64-way strided read
-        # (measured 0.59 s → 0.07 s on the sf0.1 batch)
-        hvt = np.ascontiguousarray(
-            _mod_mersenne_affine(self.a, self.b, ux).T)   # (U, 64)
-        sig = np.minimum.reduceat(hvt[inv], offs, axis=0).T  # (64, n_docs)
-        P = np.uint64(0x9E3779B97F4A7C15)
-        n = sig.shape[1]
-        band_hash = np.empty((_BANDS, n), dtype=np.uint64)
-        for band in range(_BANDS):
-            acc = np.zeros(n, dtype=np.uint64)
-            for r in range(band * rpb, (band + 1) * rpb):
-                acc = acc * P + sig[r].astype(np.uint64)
-            band_hash[band] = acc
-        doc_ids = batch["doc_id"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({
-            "band_id": np.repeat(np.arange(_BANDS, dtype=np.int64), n),
-            "band_hash": band_hash.reshape(-1).view(np.int64),
-            "doc_id": np.tile(doc_ids, _BANDS)})
+_MINHASH_A, _MINHASH_B = _minhash_params(42)
 
 
-def minhash_candidates(sf_dir: str, concurrency=None,
-                       max_bucket: int = 1024,
+def minhash_bands(batch: pd.DataFrame) -> pd.DataFrame:
+    """Minhash signatures + LSH band keys per doc: (band_id, band_hash,
+    doc_id), one row per (band, doc).
+
+    The hash params are seeded module constants, identical in every
+    worker. The whole batch computes as ONE (64 × total-shingles)
+    affine pass + per-doc ``minimum.reduceat`` (no per-doc matmul), and
+    band keys are a uint64 polynomial mix of the band's signature rows
+    (64-bit — the same collision odds as the previous truncated md5,
+    ~10⁵ keys²/2⁶⁴, without 16 hashlib calls per doc)."""
+    rpb = _NUM_HASHES // _BANDS
+    crcs_list = [_shingle_crcs(t) for t in batch["text"]]
+    nsh = np.array([len(c) for c in crcs_list], dtype=np.int64)
+    if len(nsh) == 0 or nsh.sum() == 0:
+        return pd.DataFrame({"band_id": pd.Series([], dtype="int64"),
+                             "band_hash": pd.Series([], dtype="int64"),
+                             "doc_id": pd.Series([], dtype="int64")})
+    offs = np.concatenate([[0], np.cumsum(nsh)[:-1]])
+    # boilerplate-heavy web batches repeat shingles across docs —
+    # run the affine pass over the batch-UNIQUE crcs only and
+    # gather (measured ~2× fewer affine columns at sf0.1)
+    ux, inv = np.unique(np.concatenate(crcs_list),
+                        return_inverse=True)
+    # row-major layout so the per-shingle gather is a contiguous
+    # 512-byte memcpy per row instead of a 64-way strided read
+    # (measured 0.59 s → 0.07 s on the sf0.1 batch)
+    hvt = np.ascontiguousarray(
+        _mod_mersenne_affine(_MINHASH_A, _MINHASH_B, ux).T)   # (U, 64)
+    sig = np.minimum.reduceat(hvt[inv], offs, axis=0).T  # (64, n_docs)
+    P = np.uint64(0x9E3779B97F4A7C15)
+    n = sig.shape[1]
+    band_hash = np.empty((_BANDS, n), dtype=np.uint64)
+    for band in range(_BANDS):
+        acc = np.zeros(n, dtype=np.uint64)
+        for r in range(band * rpb, (band + 1) * rpb):
+            acc = acc * P + sig[r].astype(np.uint64)
+        band_hash[band] = acc
+    doc_ids = batch["doc_id"].to_numpy(dtype=np.int64)
+    return pd.DataFrame({
+        "band_id": np.repeat(np.arange(_BANDS, dtype=np.int64), n),
+        "band_hash": band_hash.reshape(-1).view(np.int64),
+        "doc_id": np.tile(doc_ids, _BANDS)})
+
+
+def minhash_candidates(sf_dir: str, max_bucket: int = 1024,
                        dedup_pairs: bool = True) -> "rd.Dataset":
     """LSH bucket → candidate pairs (doc_a < doc_b), deduplicated.
 
-    shingle→minhash→band in an actor pool; groupby (band_id, band_hash);
+    shingle→minhash→band in plain tasks; groupby (band_id, band_hash);
     pairs per bucket; exact pair-dedup via a second groupby.
 
     MEGA-BUCKET CAP: an LSH bucket larger than ``max_bucket`` (the
@@ -283,21 +281,8 @@ def minhash_candidates(sf_dir: str, concurrency=None,
     member): O(m) pairs that preserve the connected components a
     dedup pass actually consumes. Below the cap output is unchanged."""
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    # plain TASKS, not an actor pool: MinHasher's state (two 64-int
-    # hash-param arrays) regenerates in ~µs, and the pool's spin-up
-    # measured 0.5–1.6 s of pure overhead on this stage (1.35 s pool vs
-    # 0.81 s tasks at sf0.1) — the same task-vs-pool call the flagship
-    # documents. Pools remain the pattern for EXPENSIVE state
-    # (multimodal.ImageDecoder holds codec tables).
-    if concurrency is not None:      # explicit pool still available
-        bands = ds.map_batches(MinHasher, batch_format="pandas",
-                               concurrency=concurrency, batch_size=1024)
-    else:
-        def _sign(batch: pd.DataFrame) -> pd.DataFrame:
-            return MinHasher()(batch)
-
-        bands = ds.map_batches(_sign, batch_format="pandas",
-                               batch_size=1024)
+    bands = ds.map_batches(minhash_bands, batch_format="pandas",
+                           batch_size=1024)
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         ids = np.sort(g["doc_id"].unique())

@@ -3,15 +3,15 @@
 The reference imports images as rasters through ImageIO
 (ImportImage.java:528); a 100 TB training-data pipeline needs the same
 shape over Arrow: media as an opaque ``binary`` column with typed
-metadata, decoded/feature-extracted inside an ACTOR-POOL ``map_batches``
-stage (decoder state loaded once per actor, SURVEY.md §2.3 pattern).
+metadata, decoded/feature-extracted inside a plain-task ``map_batches``
+stage. Every stage here is a module-level batch function; what decoder
+state exists (the JPEG DCT basis) is cached per worker process by the
+codec module itself, so no stage needs an actor.
 
-The real decoders (PIL / libav) are NOT in this container, so the decode
-kernel is STUBBED: a deterministic FAKEIMG container format
-(``b"FAKEIMG" + u32 width + u32 height + payload``) stands in for JPEG.
-Everything around it — schema, batch flow, actor signature, per-actor
-init, output layout — is the real production plumbing; swapping
-``_decode_fake`` for a PIL call is the only change needed.
+The FAKEIMG / FAKEVID / PCM payloads are deterministic stand-ins
+(``b"FAKEIMG" + u32 width + u32 height + payload`` for an image); the
+REAL path below decodes genuine PNG/BMP/JPEG bytes with the from-scratch
+codecs. A malformed payload raises a typed error naming its ``doc_id``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ import struct
 import numpy as np
 import pandas as pd
 import ray.data as rd
+
+from ..sources.jpeg import decode_jpeg
+from ..sources.png import decode_png
 
 _MAGIC = b"FAKEIMG"
 
@@ -52,55 +55,45 @@ def media_table(sf_dir: str) -> "rd.Dataset":
     return ds.map_batches(pack, batch_format="pandas")
 
 
-class ImageDecoder:
-    """Actor-pool decode stage. ``__init__`` loads the decoder ONCE per
-    actor (here: tries PIL, falls back to the FAKEIMG parser); ``__call__``
-    decodes a whole batch. With real images this is where model weights /
-    codec contexts live."""
-
-    def __init__(self):
-        try:  # pragma: no cover - PIL absent in this container
-            from PIL import Image
-            self._pil = Image
-        except ImportError:
-            self._pil = None
-
-    def _decode_fake(self, buf: bytes) -> tuple[int, int, int]:
-        if not buf.startswith(_MAGIC):
-            raise NotImplementedError(
-                "real image decoding requires PIL; only FAKEIMG payloads "
-                "are supported in this environment")
-        w, h = struct.unpack(">II", buf[7:15])
-        return w, h, len(buf) - 15
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        dims = [self._decode_fake(b) for b in batch["payload"]]
-        w, h, nb = (np.array(x, dtype=np.int64) for x in zip(*dims))
-        return pd.DataFrame({
-            "doc_id": batch["doc_id"].to_numpy(),
-            "width": w, "height": h, "n_payload_bytes": nb,
-            "aspect_milli": (w * 1000) // h,
-        })
+def _decode_fake(doc_id, buf: bytes) -> tuple[int, int, int]:
+    if not buf.startswith(_MAGIC):
+        raise NotImplementedError(
+            f"doc_id {doc_id}: not a FAKEIMG payload; no other image "
+            "format is decoded by this stage")
+    w, h = struct.unpack(">II", buf[7:15])
+    return w, h, len(buf) - 15
 
 
-def image_features(sf_dir: str, batch_size: int = 256) -> "rd.Dataset":
-    """media → per-image features via the actor-pool decode stage.
+def decode_fake_images(batch: pd.DataFrame) -> pd.DataFrame:
+    """FAKEIMG payloads → (doc_id, width, height, n_payload_bytes,
+    aspect_milli), one row per image."""
+    dims = [_decode_fake(i, b) for i, b in zip(batch["doc_id"],
+                                               batch["payload"])]
+    w, h, nb = (np.array(x, dtype=np.int64) for x in zip(*dims))
+    return pd.DataFrame({
+        "doc_id": batch["doc_id"].to_numpy(),
+        "width": w, "height": h, "n_payload_bytes": nb,
+        "aspect_milli": (w * 1000) // h,
+    })
+
+
+def image_features(sf_dir: str) -> "rd.Dataset":
+    """media → per-image features via the decode stage.
     Output: (doc_id, width, height, n_payload_bytes, aspect_milli)."""
-    from .util import pool_size
     return media_table(sf_dir).map_batches(
-        ImageDecoder, batch_format="pandas",
-        concurrency=pool_size(), batch_size=batch_size)
+        decode_fake_images, batch_format="pandas", batch_size=256)
 
 
 # ---------------------------------------------------------------------------
 # Video frame sampling: opaque FAKEVID container (deterministic stand-in
 # for an MP4 — b"FAKEVID" + u32 n_frames + u32 fps + per-frame u32
-# checksums). The actor-pool stage samples every k-th frame and emits
-# one row per sampled frame — the schema/fan-out a real libav sampler
+# checksums). The sampling stage emits every VIDEO_STRIDE-th frame, one
+# row per sampled frame — the schema/fan-out a real libav sampler
 # produces; swapping the parser for av.open is the only change.
 # ---------------------------------------------------------------------------
 
 _VMAGIC = b"FAKEVID"
+VIDEO_STRIDE = 10
 
 
 def encode_fake_video(doc_id: int) -> bytes:
@@ -112,30 +105,27 @@ def encode_fake_video(doc_id: int) -> bytes:
             + struct.pack(f">{n_frames}I", *frames))
 
 
-class FrameSampler:
-    """Actor-pool stage: parse the container once per batch row, emit
-    every ``stride``-th frame (one output row per sampled frame)."""
-
-    def __init__(self, stride: int = 10):
-        self.stride = stride
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        out = {"doc_id": [], "frame_idx": [], "t_ms": [], "checksum": []}
-        for doc_id, buf in zip(batch["doc_id"], batch["payload"]):
-            buf = bytes(buf)
-            assert buf[:7] == _VMAGIC
-            n, fps = struct.unpack(">II", buf[7:15])
-            frames = struct.unpack(f">{n}I", buf[15:15 + 4 * n])
-            for f in range(0, n, self.stride):
-                out["doc_id"].append(int(doc_id))
-                out["frame_idx"].append(f)
-                out["t_ms"].append(f * 1000 // fps)
-                out["checksum"].append(frames[f])
-        return pd.DataFrame(out)
+def sample_frames(batch: pd.DataFrame) -> pd.DataFrame:
+    """Parse each FAKEVID container and emit every VIDEO_STRIDE-th frame
+    (one output row per sampled frame)."""
+    out = {"doc_id": [], "frame_idx": [], "t_ms": [], "checksum": []}
+    for doc_id, buf in zip(batch["doc_id"], batch["payload"]):
+        buf = bytes(buf)
+        if buf[:7] != _VMAGIC or len(buf) < 15:
+            raise ValueError(f"doc_id {doc_id}: not a FAKEVID payload")
+        n, fps = struct.unpack(">II", buf[7:15])
+        if len(buf) < 15 + 4 * n:
+            raise ValueError(f"doc_id {doc_id}: FAKEVID payload truncated")
+        frames = struct.unpack(f">{n}I", buf[15:15 + 4 * n])
+        for f in range(0, n, VIDEO_STRIDE):
+            out["doc_id"].append(int(doc_id))
+            out["frame_idx"].append(f)
+            out["t_ms"].append(f * 1000 // fps)
+            out["checksum"].append(frames[f])
+    return pd.DataFrame(out)
 
 
-def video_frame_sample(sf_dir: str, stride: int = 10,
-                       batch_size: int = 256) -> "rd.Dataset":
+def video_frame_sample(sf_dir: str) -> "rd.Dataset":
     """documents → fake videos → sampled frames
     (doc_id, frame_idx, t_ms, checksum)."""
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
@@ -145,20 +135,19 @@ def video_frame_sample(sf_dir: str, stride: int = 10,
             "doc_id": batch["doc_id"],
             "payload": [encode_fake_video(int(i)) for i in batch["doc_id"]]})
 
-    from .util import pool_size
     return (ds.map_batches(pack, batch_format="pandas")
-            .map_batches(FrameSampler, batch_format="pandas",
-                         concurrency=pool_size(), batch_size=batch_size))
+            .map_batches(sample_frames, batch_format="pandas",
+                         batch_size=256))
 
 
-def video_frame_sample_sql(stride: int = 10) -> str:
+def video_frame_sample_sql() -> str:
     """Exact mirror: frame grid + checksum hash rule from doc_id."""
     return f"""
 WITH v AS (SELECT doc_id, 8 + doc_id % 120 AS n_frames,
                   24 + (doc_id % 3) * 6 AS fps
            FROM documents),
 f AS (SELECT v.doc_id, g.f AS frame_idx, v.fps
-      FROM v, LATERAL (SELECT unnest(range(0, v.n_frames, {stride})) AS f)
+      FROM v, LATERAL (SELECT unnest(range(0, v.n_frames, {VIDEO_STRIDE})) AS f)
            g(f))
 SELECT doc_id, frame_idx,
        frame_idx * 1000 // fps AS t_ms,
@@ -170,7 +159,7 @@ FROM f
 # ---------------------------------------------------------------------------
 # REAL decode path — the PNG/BMP/JPEG codecs (sources/png.py, bmp.py,
 # jpeg.py) un-stub the decode stage: payloads are genuine image files,
-# decoded inside the actor pool, with EXACT oracles because the
+# decoded in plain tasks, with EXACT oracles because the
 # synthetic image content is a closed-form pattern.
 # ---------------------------------------------------------------------------
 
@@ -216,58 +205,47 @@ def media_table_png(sf_dir: str) -> "rd.Dataset":
     return ds.map_batches(pack, batch_format="pandas")
 
 
-class RealImageDecoder:
-    """Actor-pool stage decoding REAL image payloads (PNG/BMP/JPEG by
-    magic sniff) with the from-scratch codecs — codec tables/matrices
-    build once per actor in __init__."""
-
-    def __init__(self):
-        from ..sources.bmp import _read_header  # noqa: F401 (warm import)
-        from ..sources.jpeg import _dct_matrix, decode_jpeg
-        from ..sources.png import decode_png
-        _dct_matrix()            # cache the DCT basis once per actor
-        self._png = decode_png
-        self._jpeg = decode_jpeg
-
-    def _decode(self, buf: bytes) -> np.ndarray:
-        if buf[:8] == b"\x89PNG\r\n\x1a\n":
-            return self._png(buf)
-        if buf[:2] == b"\xFF\xD8":
-            return self._jpeg(buf)
-        if buf[:2] == b"BM":
-            import struct as _struct
-            (off,) = _struct.unpack_from("<I", buf, 10)
-            _, w, h, _, bpp, comp = _struct.unpack_from("<IiiHHI", buf, 14)
-            if bpp != 24 or comp != 0 or h <= 0:
-                raise NotImplementedError("24-bit BI_RGB only")
-            stride = (w * 3 + 3) & ~3
-            a = np.frombuffer(buf, dtype=np.uint8, offset=off,
-                              count=h * stride)
-            return a.reshape(h, stride)[::-1, :w * 3].reshape(h, w, 3)
-        raise ValueError("unknown image container")
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        w, h, sums = [], [], []
-        for buf in batch["payload"]:
-            a = self._decode(bytes(buf))
-            if a.ndim == 3:
-                a = a[:, :, 0]
-            h.append(a.shape[0])
-            w.append(a.shape[1])
-            sums.append(int(a.astype(np.int64).sum()))
-        return pd.DataFrame({
-            "doc_id": batch["doc_id"].to_numpy(),
-            "width": np.array(w, dtype=np.int64),
-            "height": np.array(h, dtype=np.int64),
-            "sum_intensity": np.array(sums, dtype=np.int64)})
+def decode_image(doc_id, buf: bytes) -> np.ndarray:
+    """One REAL image payload (PNG/BMP/JPEG by magic sniff) → its first
+    channel as a 2-D array, via the from-scratch codecs."""
+    if buf[:8] == b"\x89PNG\r\n\x1a\n":
+        a = decode_png(buf)
+    elif buf[:2] == b"\xFF\xD8":
+        a = decode_jpeg(buf)
+    elif buf[:2] == b"BM":
+        (off,) = struct.unpack_from("<I", buf, 10)
+        _, w, h, _, bpp, comp = struct.unpack_from("<IiiHHI", buf, 14)
+        if bpp != 24 or comp != 0 or h <= 0:
+            raise NotImplementedError(f"doc_id {doc_id}: 24-bit BI_RGB "
+                                      "BMP only")
+        stride = (w * 3 + 3) & ~3
+        a = np.frombuffer(buf, dtype=np.uint8, offset=off,
+                          count=h * stride)
+        a = a.reshape(h, stride)[::-1, :w * 3].reshape(h, w, 3)
+    else:
+        raise ValueError(f"doc_id {doc_id}: unknown image container")
+    return a[:, :, 0] if a.ndim == 3 else a
 
 
-def image_features_real(sf_dir: str, batch_size: int = 128) -> "rd.Dataset":
-    """Real PNG decode in the actor pool → exact per-image stats."""
-    from .util import pool_size
+def decode_real_images(batch: pd.DataFrame) -> pd.DataFrame:
+    """REAL image payloads → (doc_id, width, height, sum_intensity)."""
+    w, h, sums = [], [], []
+    for doc_id, buf in zip(batch["doc_id"], batch["payload"]):
+        a = decode_image(doc_id, bytes(buf))
+        h.append(a.shape[0])
+        w.append(a.shape[1])
+        sums.append(int(a.astype(np.int64).sum()))
+    return pd.DataFrame({
+        "doc_id": batch["doc_id"].to_numpy(),
+        "width": np.array(w, dtype=np.int64),
+        "height": np.array(h, dtype=np.int64),
+        "sum_intensity": np.array(sums, dtype=np.int64)})
+
+
+def image_features_real(sf_dir: str) -> "rd.Dataset":
+    """Real PNG decode in plain tasks → exact per-image stats."""
     return media_table_png(sf_dir).map_batches(
-        RealImageDecoder, batch_format="pandas",
-        concurrency=pool_size(), batch_size=batch_size)
+        decode_real_images, batch_format="pandas", batch_size=128)
 
 
 def image_features_real_sql() -> str:
@@ -288,54 +266,46 @@ FROM px GROUP BY doc_id
 """
 
 
-class ImageResizer:
+RESIZE_OUT = 16      # resized images are RESIZE_OUT × RESIZE_OUT
+
+
+def resize_images(batch: pd.DataFrame) -> pd.DataFrame:
     """REAL nearest-neighbour resize (pure integer index math —
-    out[i, j] = in[i·h // H, j·w // W]) in the actor pool."""
-
-    def __init__(self, out_h: int = 16, out_w: int = 16):
-        self.oh = out_h
-        self.ow = out_w
-        self._dec = RealImageDecoder()
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        sums = []
-        for buf in batch["payload"]:
-            a = self._dec._decode(bytes(buf))
-            if a.ndim == 3:
-                a = a[:, :, 0]
-            h, w = a.shape
-            ri = (np.arange(self.oh, dtype=np.int64) * h) // self.oh
-            ci = (np.arange(self.ow, dtype=np.int64) * w) // self.ow
-            sums.append(int(a[np.ix_(ri, ci)].astype(np.int64).sum()))
-        return pd.DataFrame({
-            "doc_id": batch["doc_id"].to_numpy(),
-            "resized_sum": np.array(sums, dtype=np.int64)})
+    out[i, j] = in[i·h // H, j·w // W]) → (doc_id, resized_sum)."""
+    sums = []
+    for doc_id, buf in zip(batch["doc_id"], batch["payload"]):
+        a = decode_image(doc_id, bytes(buf))
+        h, w = a.shape
+        ri = (np.arange(RESIZE_OUT, dtype=np.int64) * h) // RESIZE_OUT
+        ci = (np.arange(RESIZE_OUT, dtype=np.int64) * w) // RESIZE_OUT
+        sums.append(int(a[np.ix_(ri, ci)].astype(np.int64).sum()))
+    return pd.DataFrame({
+        "doc_id": batch["doc_id"].to_numpy(),
+        "resized_sum": np.array(sums, dtype=np.int64)})
 
 
-def image_resize_stats(sf_dir: str, batch_size: int = 128) -> "rd.Dataset":
-    from .util import pool_size
+def image_resize_stats(sf_dir: str) -> "rd.Dataset":
     return media_table_png(sf_dir).map_batches(
-        ImageResizer, batch_format="pandas",
-        concurrency=pool_size(), batch_size=batch_size)
+        resize_images, batch_format="pandas", batch_size=128)
 
 
-def image_resize_stats_sql(out_h: int = 16, out_w: int = 16) -> str:
+def image_resize_stats_sql() -> str:
     return f"""
 WITH dims AS (SELECT doc_id, 16 + doc_id % 32 AS w, 16 + doc_id % 24 AS h
               FROM documents),
 px AS (SELECT d.doc_id,
-              CAST((d.doc_id + (gx.i * d.w) // {out_w}
-                    + (gy.i * d.h) // {out_h}) % 256 AS BIGINT) AS v
+              CAST((d.doc_id + (gx.i * d.w) // {RESIZE_OUT}
+                    + (gy.i * d.h) // {RESIZE_OUT}) % 256 AS BIGINT) AS v
        FROM dims d
-       CROSS JOIN range(0, {out_w}) gx(i)
-       CROSS JOIN range(0, {out_h}) gy(i))
+       CROSS JOIN range(0, {RESIZE_OUT}) gx(i)
+       CROSS JOIN range(0, {RESIZE_OUT}) gy(i))
 SELECT doc_id, CAST(SUM(v) AS BIGINT) AS resized_sum
 FROM px GROUP BY doc_id
 """
 
 
 # ---------------------------------------------------------------------------
-# Audio: opaque PCM binary column + actor-pool frame analysis
+# Audio: opaque PCM binary column + per-frame energy analysis
 # ---------------------------------------------------------------------------
 
 AUDIO_FRAME = 160     # 10 ms at 16 kHz
@@ -366,44 +336,34 @@ def audio_table(sf_dir: str) -> "rd.Dataset":
     return ds.map_batches(pack, batch_format="pandas")
 
 
-class AudioFrameAnalyzer:
-    """Actor-pool stage: decode the PCM binary column and compute
-    per-frame energy — the window-level feature extraction an audio
-    curation pipeline runs (VAD / loudness gating). State (here just
-    the frame size; with real codecs the decoder context) lives in
-    ``__init__``; ``__call__`` is one vectorized pass per batch."""
-
-    def __init__(self, frame: int = AUDIO_FRAME):
-        self.frame = frame
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        ids, nfr, mx, rms = [], [], [], []
-        for doc_id, buf in zip(batch["doc_id"], batch["pcm"]):
-            s = np.frombuffer(buf, dtype="<i2").astype(np.int64)
-            f = len(s) // self.frame
-            ss = (s * s).reshape(f, self.frame).sum(axis=1)
-            ids.append(int(doc_id))
-            nfr.append(f)
-            # half-away rounding to match DuckDB round()
-            mx.append(np.floor(np.sqrt(ss.max() / self.frame) * 1e6
-                               + 0.5) / 1e6)
-            rms.append(np.floor(np.sqrt(ss.sum() / (f * self.frame)) * 1e6
-                                + 0.5) / 1e6)
-        return pd.DataFrame({
-            "doc_id": np.asarray(ids, dtype=np.int64),
-            "n_frames": np.asarray(nfr, dtype=np.int64),
-            "max_frame_rms": np.asarray(mx, dtype=np.float64),
-            "rms": np.asarray(rms, dtype=np.float64)})
+def analyze_audio_frames(batch: pd.DataFrame) -> pd.DataFrame:
+    """Decode the PCM binary column and compute per-frame energy — the
+    window-level feature extraction an audio curation pipeline runs
+    (VAD / loudness gating)."""
+    ids, nfr, mx, rms = [], [], [], []
+    for doc_id, buf in zip(batch["doc_id"], batch["pcm"]):
+        s = np.frombuffer(buf, dtype="<i2").astype(np.int64)
+        f = len(s) // AUDIO_FRAME
+        ss = (s * s).reshape(f, AUDIO_FRAME).sum(axis=1)
+        ids.append(int(doc_id))
+        nfr.append(f)
+        # half-away rounding to match DuckDB round()
+        mx.append(np.floor(np.sqrt(ss.max() / AUDIO_FRAME) * 1e6
+                           + 0.5) / 1e6)
+        rms.append(np.floor(np.sqrt(ss.sum() / (f * AUDIO_FRAME)) * 1e6
+                            + 0.5) / 1e6)
+    return pd.DataFrame({
+        "doc_id": np.asarray(ids, dtype=np.int64),
+        "n_frames": np.asarray(nfr, dtype=np.int64),
+        "max_frame_rms": np.asarray(mx, dtype=np.float64),
+        "rms": np.asarray(rms, dtype=np.float64)})
 
 
-def audio_frame_stats(sf_dir: str, batch_size: int = 256,
-                      concurrency=None) -> "rd.Dataset":
-    """(doc_id, n_frames, max_frame_rms, rms) per audio row via the
-    actor pool; exact SQL oracle replays the PCM formula."""
-    from .util import pool_size
+def audio_frame_stats(sf_dir: str) -> "rd.Dataset":
+    """(doc_id, n_frames, max_frame_rms, rms) per audio row; exact SQL
+    oracle replays the PCM formula."""
     return audio_table(sf_dir).map_batches(
-        AudioFrameAnalyzer, batch_format="pandas",
-        concurrency=concurrency or pool_size(), batch_size=batch_size)
+        analyze_audio_frames, batch_format="pandas", batch_size=256)
 
 
 def audio_frame_stats_sql(frame: int = AUDIO_FRAME) -> str:

@@ -13,8 +13,8 @@ carried as a broadcast scalar keyed by min rec_id.
 
 The heavier members (SURFPixelMatching, TransformToEpipolarGeometry,
 LocatePrincipalPoint) share this physical shape — per-image feature
-extraction + candidate-pair shuffle — which the multimodal actor pool
-and MinHash-LSH machinery already exercise (SURVEY §2.10 addendum).
+extraction + candidate-pair shuffle — which the multimodal decode
+stages and MinHash-LSH machinery already exercise (SURVEY §2.10 addendum).
 
 Also here:
 - ``surf_match_points`` — the SURF interest-point matching rule

@@ -2,8 +2,9 @@
 
 Large-scale training-data operators (graft requirement): token counting,
 quality scoring, language ID, document fingerprinting. Each is a
-stateless or actor-pool ``map_batches`` with vectorized pandas string
-kernels; aggregates use the partial+final pattern.
+plain-task ``map_batches`` with vectorized pandas string kernels
+(classifier profiles are module constants); aggregates use the
+partial+final pattern.
 
 Where the kernel is expressible in DuckDB string functions the stage has
 an exact SQL oracle (token_count, fingerprint, quality ratios); the
@@ -123,7 +124,7 @@ def fingerprint_stats(sf_dir: str) -> "rd.Dataset":
     return fps.groupby("lang").map_groups(final, batch_format="pandas")
 
 
-# Stopword profiles for the heuristic language classifier (actor state).
+# Stopword profiles for the heuristic language classifier.
 _LANG_STOPWORDS = {
     "en": {"the", "and", "of", "to", "in", "is", "that", "it", "was", "for"},
     "de": {"der", "die", "und", "das", "ist", "nicht", "ein", "mit", "auf", "zu"},
@@ -133,35 +134,29 @@ _LANG_STOPWORDS = {
 }
 
 
-class LangId:
-    """Actor-pool n-gram/stopword language classifier: profiles compiled
-    once per actor in __init__, vectorized-ish scoring per batch."""
-
-    def __init__(self):
-        self.profiles = {k: frozenset(v) for k, v in _LANG_STOPWORDS.items()}
-        self.ws = _sql_ws_re()
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        preds = []
-        for text in batch["text"]:
-            toks = set(self.ws.split((text or "").strip(_SQL_WS).lower()))
-            scores = {lang: len(toks & sw) for lang, sw in self.profiles.items()}
-            best = max(sorted(scores), key=lambda k: scores[k])
-            preds.append(best if scores[best] > 0 else "unknown")
-        # null lang groups under '' (shared dirty-shard rule)
-        return pd.DataFrame({"lang": batch["lang"].fillna(""),
-                             "pred_lang": preds})
+_LANG_PROFILES = {k: frozenset(v) for k, v in _LANG_STOPWORDS.items()}
 
 
-def langid_confusion(sf_dir: str, concurrency=None) -> "rd.Dataset":
+def predict_lang(batch: pd.DataFrame) -> pd.DataFrame:
+    """Stopword-overlap language classifier: (lang, pred_lang) per row."""
+    preds = []
+    for text in batch["text"]:
+        toks = set(_WS.split((text or "").strip(_SQL_WS).lower()))
+        scores = {lang: len(toks & sw) for lang, sw in _LANG_PROFILES.items()}
+        best = max(sorted(scores), key=lambda k: scores[k])
+        preds.append(best if scores[best] > 0 else "unknown")
+    # null lang groups under '' (shared dirty-shard rule)
+    return pd.DataFrame({"lang": batch["lang"].fillna(""),
+                         "pred_lang": preds})
+
+
+def langid_confusion(sf_dir: str) -> "rd.Dataset":
     """Confusion counts (lang, pred_lang, n) of the heuristic classifier
     vs the table's lang column. Rows-only oracle (classifier is not SQL)."""
     from ray.data.aggregate import Sum
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "text"])
-    from .util import pool_size
-    pred = ds.map_batches(LangId, batch_format="pandas",
-                          concurrency=concurrency or pool_size(),
+    pred = ds.map_batches(predict_lang, batch_format="pandas",
                           batch_size=2048)
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:

@@ -3,24 +3,6 @@
 from __future__ import annotations
 
 
-def pool_size(cap: int = 16) -> tuple[int, int]:
-    """Autoscaling actor-pool bounds: (1, min(cap, cluster CPUs - 1)).
-
-    A FIXED pool equal to the session CPU count deadlocks the streaming
-    executor (all CPUs held by idle actors, none left for the upstream
-    read tasks); starting at 1 avoids that only when the session has
-    more than one CPU. On a 1-CPU session the single actor still holds
-    the only CPU and the stage hangs — which is why the broadcast
-    geo-joins run as plain tasks (``spatial_join.cached_join``).
-    """
-    try:
-        import ray
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return (1, max(1, min(cap, cpus - 1)))
-
-
 def coalesce_partials(partials, num_partitions: int | None = None):
     """Shrink a pre-aggregated partials Dataset to a few blocks before the
     final ``groupby``.
