@@ -58,17 +58,16 @@ def run_bench() -> dict:
     bench_queries = ["flagship", "tile_assign", "pip_rect_join", "knn_idw",
                      "cell_aggregates", "exact_dedup", "token_stats",
                      "ann_cosine_topk", "q1_pricing", "events_window",
-                     # corpus-curation additions (round 2 part 3)
+                     # corpus curation
                      "minhash_pairs", "dup_clusters", "pack_sequences",
-                     # round-3: skewed-corpus exact dedup (20k pages)
+                     # skewed-corpus exact dedup (20k pages)
                      "pages_exact_dedup",
-                     # round-3 part 4: span-level dedup + LM scoring
+                     # span-level dedup + LM scoring
                      "duplicate_spans", "lm_perplexity",
-                     # round-3 part 5: data-selection + event analytics
+                     # data selection + event analytics
                      "quality_classifier", "bm25_topk",
                      "events_interval_join", "incremental_dedup",
-                     # round-4 (verdict item 7): the remaining heavy
-                     # families as standing keys
+                     # the remaining heavy families
                      "events_asof_join", "embedding_neardup",
                      "embedding_neardup_stats"]
     times: dict[str, float] = {}
@@ -76,14 +75,14 @@ def run_bench() -> dict:
         t0 = time.perf_counter()
         _consume(qs[name](SF_DIR))
         times[name] = round(time.perf_counter() - t0, 3)
-    # warm re-run of the span-dedup key (round-4 verdict item 7): the
-    # cold number includes one-off page-cache/allocator warmup
+    # warm re-run of the span-dedup key: the cold number includes
+    # one-off page-cache/allocator warmup
     t0 = time.perf_counter()
     _consume(qs["duplicate_spans"](SF_DIR))
     times["duplicate_spans_warm"] = round(time.perf_counter() - t0, 3)
-    # round-5 (verdict item 1): warm min-of-3 for the keys whose r4
-    # driver numbers swung 2–4× cold on unchanged code — the cold
-    # number above stays for continuity, the warm key is the bar
+    # warm min-of-3 for the keys whose cold driver numbers swung 2–4×
+    # on unchanged code — the cold number above stays for continuity,
+    # the warm key is the bar
     for name in ["exact_dedup", "cell_aggregates", "tile_assign",
                  "knn_idw", "minhash_pairs"]:
         w = []
@@ -92,9 +91,8 @@ def run_bench() -> dict:
             _consume(qs[name](SF_DIR))
             w.append(round(time.perf_counter() - t0, 3))
         times[f"{name}_warm"] = min(w)
-    # bucket-duplication factor of the neardup plan (verdict item 5);
-    # dimensionless — reported under "diagnostics", NOT the seconds map
-    # (round-4 advice, low)
+    # bucket-duplication factor of the neardup plan; dimensionless —
+    # reported under "diagnostics", NOT the seconds map
     from whitebox_geospatial_analysis_tools_ray.stages import (
         embeddings as _emb)
     diagnostics: dict[str, object] = {}
@@ -119,8 +117,8 @@ def run_bench() -> dict:
     t0 = time.perf_counter()
     _hydro.flow_accumulation_d8(_spec1k)
     times["flow_accum_1024"] = round(time.perf_counter() - t0, 3)
-    # round-3 additions: the two-pass watershed (object-store pass-1 +
-    # pointer-doubled resolve) and the stream-topology fixed point
+    # the two-pass watershed (object-store pass-1 + pointer-doubled
+    # resolve) and the stream-topology fixed point
     from whitebox_geospatial_analysis_tools_ray.stages import (
         streams as _streams)
     t0 = time.perf_counter()
@@ -138,8 +136,8 @@ def run_bench() -> dict:
         pages_flagship)
     from whitebox_geospatial_analysis_tools_ray.sources.pages import (
         generate_pages_dataset)
-    # default 2M pages — the BASELINE.md measurement size, so
-    # round-over-round deltas are like-for-like
+    # default 2M pages — the BASELINE.md measurement size, so deltas
+    # between runs are like-for-like
     bench_pages = int(os.environ.get("GRAFT_BENCH_PAGES", "2000000"))
     pdir = generate_pages_dataset(bench_pages, "/tmp/graft_bench_pages")
     _consume(pages_flagship(pdir))  # warm (pool + page cache)
@@ -169,17 +167,17 @@ def run_bench() -> dict:
     diagnostics["skew_over_uniform"] = round(min(skew_trials) / headline,
                                              3)
 
-    # round-4 (verdict item 8): 512-shard read rehearsal — the same
-    # corpus in the many-small-files layout a 100-TB table actually
-    # has; throughput must hold within ~10% of the 128-shard number
+    # 512-shard read rehearsal — the same corpus in the many-small-files
+    # layout a 100-TB table actually has; throughput must hold within
+    # ~10% of the 128-shard number
     shdir = generate_pages_dataset(
         bench_pages, "/tmp/graft_bench_pages_512",
         rows_per_shard=max(1, bench_pages // 512))
     _consume(pages_flagship(shdir))  # warm
     # PAIRED alternating trials: the shared host drifts 2x mid-bench,
     # so an unpaired min-of-N regularly charges the drift to whichever
-    # layout ran during the slow window (r4 recorded 1.269 on code
-    # whose same-session A/B measured ~1.13). Each pair runs single
+    # layout ran during the slow window (1.269 recorded on code whose
+    # same-session A/B measured ~1.13). Each pair runs single
     # then sharded back-to-back; the key is the MEDIAN per-pair ratio,
     # with the raw trial lists in diagnostics.
     sh_trials, sg_trials, pair_ratios = [], [], []
@@ -206,11 +204,11 @@ def run_bench() -> dict:
         "single": sg_trials, "sharded": sh_trials,
         "ratios": pair_ratios}
 
-    # round-5 (verdict item 3): skewed-corpus exact dedup. First the
-    # default plan over the 50%-hot corpus (the skew-robustness
-    # number), then the same job with a cap that ENGAGES the
-    # hierarchical key-snapped recombine — the live-guard rehearsal;
-    # engagement evidence (bucket rows / slices) goes to diagnostics.
+    # skewed-corpus exact dedup. First the default plan over the
+    # 50%-hot corpus (the skew-robustness number), then the same job
+    # with a cap that ENGAGES the hierarchical key-snapped recombine —
+    # the live-guard rehearsal; engagement evidence (bucket rows /
+    # slices) goes to diagnostics.
     import ray as _ray
     from whitebox_geospatial_analysis_tools_ray.stages.dedup import (
         pages_exact_dedup as _ped)
@@ -372,13 +370,13 @@ def _burn(seconds: float) -> int:
 
 
 def run_scaleup() -> dict:
-    """Round-5 (verdict item 2): rehearse PAST the comfortable scale —
-    the same two scaling pipelines at sf0.5-/sf1.0-equivalent page
-    counts (10M / 20M pages vs the standing 2M) in ONE 32-CPU session,
-    reporting pages/sec linearity vs the 2M reference and the object
-    store's spill counters (ray memory_summary) after the heaviest
-    run. Done-bar: each scaled key within 1.3× of linear extrapolation
-    from 2M, no OOM, spill evidence recorded."""
+    """Rehearse PAST the comfortable scale — the same two scaling
+    pipelines at sf0.5-/sf1.0-equivalent page counts (10M / 20M pages
+    vs the standing 2M) in ONE 32-CPU session, reporting pages/sec
+    linearity vs the 2M reference and the object store's spill
+    counters (ray memory_summary) after the heaviest run. Done-bar:
+    each scaled key within 1.3× of linear extrapolation from 2M, no
+    OOM, spill evidence recorded."""
     import ray
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")

@@ -8,8 +8,16 @@ TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
 
 
+def pytest_configure(config):
+    config.addinivalue_line("markers", "no_ray: the test needs no Ray session")
+
+
 @pytest.fixture(scope="session", autouse=True)
-def ray_session():
+def ray_session(request):
+    items = request.session.items
+    if all(item.get_closest_marker("no_ray") for item in items):
+        yield
+        return
     ray.init(address="local", num_cpus=4, include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
     from ray.data import DataContext
@@ -59,10 +67,13 @@ def canonical(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def assert_matches_oracle(ray_result, duck_con, sql: str):
+    """Exact values AND dtypes after ``canonical``: the driver's value
+    hash tells int64 from float64 (HUGEINT sums fetch as float64), so a
+    dtype-lax compare would be weaker than the gate."""
     got = canonical(to_pandas(ray_result))
     want = canonical(duck_con.execute(sql).fetchdf())
     assert list(got.columns) == list(want.columns), \
         f"columns {list(got.columns)} != {list(want.columns)}"
     assert len(got) == len(want), f"rows {len(got)} != {len(want)}"
     pd.testing.assert_frame_equal(got, want, check_exact=True,
-                                  check_dtype=False)
+                                  check_dtype=True)

@@ -33,6 +33,10 @@ _M = 4294967296  # 2**32
 # NoData sentinel — matches WhiteboxRasterBase.java:510 default.
 NODATA = -32768.0
 
+# Side of the square gate raster for the queries whose exact oracle is a
+# sequential recursive-CTE closure, too slow at the 256×256 default.
+GATE_SIDE = 96
+
 
 def geocode_xy(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map integer ids to deterministic (x, y) points in the world extent.

@@ -1,6 +1,6 @@
 """DuckDB oracle SQL builders — exact mirrors of the Ray pipelines.
 
-Every query in ``__ray_entry__.queries()`` that is SQL-expressible has a
+Every query in ``__ray_entry__.registry()`` that is SQL-expressible has a
 builder here producing ANSI-ish SQL DuckDB can run against the
 pre-registered views (documents, embeddings, events, lineitem, orders,
 customer, nation, part, region, supplier).
@@ -22,7 +22,7 @@ from .core.features import (POINTS_CTE, cell_centers, cell_centers_sql_values,
                             rect_zones, rect_zones_sql_values, site_points,
                             site_points_sql_values, triangle_zones)
 from .core.geom import triangle_pip_sql
-from .core.rng import NODATA
+from .core.rng import GATE_SIDE, NODATA
 
 W = 250.0  # default tile width
 
@@ -1248,7 +1248,7 @@ def _mdinf_edges_cte(rows: int, cols: int) -> str:
             f"  SELECT cell, cell, 0.0, TRUE FROM mpor)")
 
 
-def flow_accumulation_mdinf_sql(rows: int = 96, cols: int = 96,
+def flow_accumulation_mdinf_sql(rows: int = GATE_SIDE, cols: int = GATE_SIDE,
                                 iters: int = 24,
                                 round_to: int = 4) -> str:
     """Mirror of stages/dinf.py flow_accumulation_mdinf (h_exp = 1):
@@ -1338,7 +1338,7 @@ FROM ffw GROUP BY cell // {cols}
 """
 
 
-def depth_in_sink_sql(rows: int = 96, cols: int = 96,
+def depth_in_sink_sql(rows: int = GATE_SIDE, cols: int = GATE_SIDE,
                       iters: int = 30, round_to: int = 6) -> str:
     """DepthInSink = filled − original on valid cells, 0 elsewhere."""
     return f"""
@@ -1352,7 +1352,7 @@ FROM ffw GROUP BY cell // {cols}
 """
 
 
-def flood_order_sql(rows: int = 96, cols: int = 96,
+def flood_order_sql(rows: int = GATE_SIDE, cols: int = GATE_SIDE,
                     iters: int = 30) -> str:
     """FloodOrder: rank of each valid cell under the deterministic
     (filled_z, cell) tie rule; per-row rank sums (exact integers)."""
@@ -1372,7 +1372,8 @@ GROUP BY g.i
 """
 
 
-def stochastic_depression_analysis_sql(rows: int = 96, cols: int = 96,
+def stochastic_depression_analysis_sql(rows: int = GATE_SIDE,
+                                       cols: int = GATE_SIDE,
                                        n_real: int = 2, rmse: float = 15.0,
                                        iters: int = 30,
                                        round_to: int = 6) -> str:
@@ -1607,7 +1608,8 @@ c0 AS (SELECT a, mn0 + (mx0 - mn0) / {k} * a AS k0,
     return ",\n".join(ctes)
 
 
-def modified_kmeans_sql(rows: int = 96, cols: int = 96, k: int = 8,
+def modified_kmeans_sql(rows: int = GATE_SIDE,
+                        cols: int = GATE_SIDE, k: int = 8,
                         iters: int = 15, round_to: int = 6) -> str:
     """Mirror of stages/mkmeans.py modified_kmeans on the synthetic
     two-band stack: diagonal min/max init, nearest-centre assignment
@@ -1630,7 +1632,7 @@ GROUP BY g.i
 """
 
 
-def dendrogram_sql(rows: int = 96, cols: int = 96, k: int = 8,
+def dendrogram_sql(rows: int = GATE_SIDE, cols: int = GATE_SIDE, k: int = 8,
                    iters: int = 15, round_to: int = 6) -> str:
     """Dendrogram.java merge history over the k-means classes: k−1
     unrolled closest-pair merges (scan order = ascending id, which the
@@ -1847,7 +1849,8 @@ acc AS MATERIALIZED (
   FROM vals v LEFT JOIN upcnt u ON u.cell = v.cell)"""
 
 
-def find_saddle_points_sql(rows: int = 96, cols: int = 96) -> str:
+def find_saddle_points_sql(rows: int = GATE_SIDE,
+                           cols: int = GATE_SIDE) -> str:
     """FindSaddlePoints (stages/streams.py find_saddle_points): walk
     each ridge-candidate cell's D8 path to the FIRST Peucker–Douglas
     valley cell; if that cell is a channel head (valley, valid pointer,
@@ -2055,7 +2058,8 @@ FROM x GROUP BY cell // {cols}
 """
 
 
-def distance_to_outlet_sql(rows: int = 96, cols: int = 96) -> str:
+def distance_to_outlet_sql(rows: int = GATE_SIDE,
+                           cols: int = GATE_SIDE) -> str:
     """Step-length sum along the D8 path to its terminal cell."""
     return f"""
 WITH RECURSIVE {_d8_walk_ctes(rows, cols)},
@@ -2070,7 +2074,7 @@ GROUP BY v.cell // {cols}
 """
 
 
-def elev_above_pit_sql(rows: int = 96, cols: int = 96) -> str:
+def elev_above_pit_sql(rows: int = GATE_SIDE, cols: int = GATE_SIDE) -> str:
     """z − z(terminal cell at the end of the D8 path)."""
     return f"""
 WITH RECURSIVE {_d8_walk_ctes(rows, cols)},
@@ -2097,7 +2101,8 @@ def _stream_cte(threshold: float) -> str:
             f"(v <> {_NOD} AND a >= {threshold!r}) AS st FROM acc)")
 
 
-def downslope_distance_to_stream_sql(rows: int = 96, cols: int = 96,
+def downslope_distance_to_stream_sql(rows: int = GATE_SIDE,
+                                     cols: int = GATE_SIDE,
                                      threshold: float = 2.0) -> str:
     """Path length to the FIRST stream cell on the D8 path (0 when the
     cell itself is stream; unreached when the path ends dry)."""
@@ -2123,7 +2128,7 @@ FROM x GROUP BY cell // {cols}
 """
 
 
-def elevation_above_stream_sql(rows: int = 96, cols: int = 96,
+def elevation_above_stream_sql(rows: int = GATE_SIDE, cols: int = GATE_SIDE,
                                threshold: float = 2.0) -> str:
     """z − z(first stream cell on the D8 path)."""
     return f"""
@@ -2149,7 +2154,8 @@ FROM x GROUP BY cell // {cols}
 """
 
 
-def total_upstream_channel_length_sql(rows: int = 96, cols: int = 96,
+def total_upstream_channel_length_sql(rows: int = GATE_SIDE,
+                                      cols: int = GATE_SIDE,
                                       threshold: float = 2.0) -> str:
     """val(c) = Σ over upstream stream cells u of u's out-step length."""
     return f"""
@@ -2170,7 +2176,8 @@ GROUP BY s.cell // {cols}
 """
 
 
-def furthest_channel_head_distance_sql(rows: int = 96, cols: int = 96,
+def furthest_channel_head_distance_sql(rows: int = GATE_SIDE,
+                                       cols: int = GATE_SIDE,
                                        threshold: float = 2.0) -> str:
     """val(c) = max over upstream stream cells u of path length u→c."""
     return f"""
@@ -2294,7 +2301,8 @@ FROM pts p LEFT JOIN best b ON b.point_cell = p.cell AND b.rn = 1
 """
 
 
-def elev_rel_watershed_minmax_sql(rows: int = 96, cols: int = 96) -> str:
+def elev_rel_watershed_minmax_sql(rows: int = GATE_SIDE,
+                                  cols: int = GATE_SIDE) -> str:
     """(z − min_w)/(max_w − min_w) within each watershed label; labels
     from the watershed first-pour-hit rule; unlabelled excluded."""
     return f"""
@@ -2327,7 +2335,7 @@ FROM x GROUP BY cell // {cols}
 """
 
 
-def downslope_index_sql(rows: int = 96, cols: int = 96,
+def downslope_index_sql(rows: int = GATE_SIDE, cols: int = GATE_SIDE,
                         d: float = 30.0) -> str:
     """DownslopeIndex tangent mode with the reference's literal quirks:
     walk until the drop from the START elevation reaches d; crossing
@@ -2359,7 +2367,7 @@ FROM x GROUP BY cell // {cols}
 """
 
 
-def median_upstream_area_sql(rows: int = 96, cols: int = 96,
+def median_upstream_area_sql(rows: int = GATE_SIDE, cols: int = GATE_SIDE,
                              threshold: float = 2.0) -> str:
     """Sketch median (log-1.4 buckets, lower edge at rank
     ⌈(n+1)/2⌉) of upstream stream cells' accumulations."""
@@ -2821,7 +2829,7 @@ GROUP BY g.r
 """
 
 
-def visibility_index_sql(rows: int = 96, cols: int = 96,
+def visibility_index_sql(rows: int = GATE_SIDE, cols: int = GATE_SIDE,
                          station_height: float = 2.0,
                          n_stations: int = 4) -> str:
     """VisibilityIndex: mean of the n_stations lattice viewsheds'
@@ -2972,7 +2980,7 @@ FROM lab GROUP BY cell // {cols}
 """
 
 
-def isobasin_sql(rows: int = 96, cols: int = 96,
+def isobasin_sql(rows: int = GATE_SIDE, cols: int = GATE_SIDE,
                  threshold: float = 15.0) -> str:
     """Isobasin (stages/isobasin.py; Isobasin.java:245-377): phase 1 is
     a SEQUENTIAL replay — heads in row-major order, each walking its D8
@@ -3179,7 +3187,7 @@ FROM labv GROUP BY cell // {cols}
 """
 
 
-def branch_length_sql(rows: int = 96, cols: int = 96) -> str:
+def branch_length_sql(rows: int = GATE_SIDE, cols: int = GATE_SIDE) -> str:
     """BranchLength: tandem-walk merge of forward-adjacent pairs
     (E/SE/S/SW with the literal testByte edge rules); branch = distance
     to the first common path cell, or the full flowpath when the paths
@@ -3385,7 +3393,7 @@ JOIN hfin h ON h.label = a.label
 """
 
 
-def multiscale_elev_residual_sql(rows: int = 96, cols: int = 96,
+def multiscale_elev_residual_sql(rows: int = GATE_SIDE, cols: int = GATE_SIDE,
                                  base: float = 2.0) -> str:
     """MERI: count of radius-ladder scales where the cell sits above
     its clamped-corner integral-image window mean (the reference's
@@ -3465,7 +3473,8 @@ FROM x GROUP BY cell // {cols}
 """
 
 
-def avg_upslope_flowpath_length_sql(rows: int = 96, cols: int = 96,
+def avg_upslope_flowpath_length_sql(rows: int = GATE_SIDE,
+                                    cols: int = GATE_SIDE,
                                     mode: str = "avg_len") -> str:
     """AverageUpslopeFlowpathLength / AverageSlopeToDivide: divide
     (zero-inflow) cells start one flowpath each; N = upstream divide

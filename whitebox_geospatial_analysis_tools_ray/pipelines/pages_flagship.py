@@ -19,11 +19,11 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-import ray
 import ray.data as rd
 
 from ..core.rng import geocode_xy
 from ..sources.pages import extract_texts
+from ..stages.util import cluster_cpus
 from .flagship import zone_tile_counts
 
 
@@ -69,11 +69,7 @@ def pages_flagship(pages_dir: str, tile_width: float = 250.0) -> "rd.Dataset":
     import os
     n_files = len(glob.glob(os.path.join(pages_dir, "*.parquet"))) or None
     if n_files:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        n_blocks = min(n_files, max(4 * cpus, 128))
+        n_blocks = min(n_files, max(4 * cluster_cpus(), 128))
     else:
         n_blocks = None
     ds = rd.read_parquet(pages_dir, columns=["url", "html"],

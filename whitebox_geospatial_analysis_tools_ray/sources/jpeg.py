@@ -8,8 +8,8 @@ JPEG is lossy and its DEFLATE-free entropy stream is sequential, so the
 Ray plan matches PNG's: ONE decode task per FILE, tiles after.
 Conformance is decode(encode(x)) determinism — bit-identical across
 runs/engines because every step is integer or fixed-order float64 —
-checked by checksum tests; no SQL oracle (DCT chains are not
-SQL-expressible).
+checked by checksum tests and by the exact SQL oracle
+``jpeg_roundtrip_sql``, which replays the same fixed-order DCT.
 """
 
 from __future__ import annotations
@@ -123,6 +123,32 @@ def _dct_matrix():
     return _DCT_C
 
 
+def _dct_product(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(a @ x) @ b`` for 8×8 blocks (or a stack of them), each dot
+    product accumulated k = 0..7 left to right with one rounding per
+    product and per sum — the order ``jpeg_roundtrip_sql`` spells out.
+    ``@`` goes through BLAS, whose kernel (FMA, blocking) depends on
+    the host."""
+    def mul(p, q):
+        out = p[..., :, :1] * q[..., :1, :]
+        for k in range(1, 8):
+            out = out + p[..., :, k:k + 1] * q[..., k:k + 1, :]
+        return out
+    return mul(mul(a, x), b)
+
+
+def _block_coefs(plane: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Quantized DCT coefficients, in zigzag order, of every 8×8 block of
+    ``plane`` in row-major block order; a partial edge block repeats its
+    last row and column."""
+    h, w = plane.shape
+    p = np.pad(plane, ((0, -h % 8), (0, -w % 8)), mode="edge")
+    blks = p.reshape(p.shape[0] // 8, 8, -1, 8).transpose(0, 2, 1, 3)
+    C = _dct_matrix()
+    f = _dct_product(C, blks - 128.0, C.T)
+    return np.floor(f / q + 0.5).astype(np.int64).reshape(-1, 64)[:, _ZIG]
+
+
 class _BitWriter:
     """Deferred bitstream writer: ``put`` only records (code, length)
     pairs; ``flush`` packs them with numpy in one vectorized pass and
@@ -206,70 +232,56 @@ def write_jpeg(path: str, rgb: np.ndarray, quality: int = 75,
     Cb = -0.168736 * r - 0.331264 * g + 0.5 * b + 128.0
     Cr = 0.5 * r - 0.418688 * g - 0.081312 * b + 128.0
     comps = [(Y, qy, 0), (Cb, qc, 1), (Cr, qc, 1)]
-    H8 = -(-h // 8) * 8
-    W8 = -(-w // 8) * 8
-    C = _dct_matrix()
+    coefs = [_block_coefs(plane, q) for plane, q, _tab in comps]
     dc_tabs = {t: _huff_codes(*_HT[("dc", t)]) for t in (0, 1)}
     ac_tabs = {t: _huff_codes(*_HT[("ac", t)]) for t in (0, 1)}
 
     bw = _BitWriter()
     prev_dc = [0, 0, 0]
     scan_parts: list[bytes] = []
-    mcu = 0
     rst_n = 0
-    for by in range(0, H8, 8):
-        for bx in range(0, W8, 8):
-            # DRI: close the segment every restart_interval MCUs —
-            # flush (1-pad to byte), emit RSTn, reset DC predictors
-            if restart_interval and mcu and mcu % restart_interval == 0:
-                bw.flush()
-                scan_parts.append(bytes(bw.buf))
-                scan_parts.append(bytes([0xFF, 0xD0 + (rst_n % 8)]))
-                rst_n += 1
-                bw = _BitWriter()
-                prev_dc = [0, 0, 0]
-            mcu += 1
-            for ci, (plane, q, tab) in enumerate(comps):
-                blk = np.zeros((8, 8))
-                ys = min(8, h - by)
-                xs = min(8, w - bx)
-                blk[:ys, :xs] = plane[by:by + ys, bx:bx + xs]
-                if ys < 8:
-                    blk[ys:, :] = blk[ys - 1, :]
-                if xs < 8:
-                    blk[:, xs:] = blk[:, xs - 1:xs]
-                f = C @ (blk - 128.0) @ C.T
-                qz = np.floor(f / q + 0.5).astype(np.int64).ravel()[_ZIG]
-                dc = int(qz[0]) - prev_dc[ci]
-                prev_dc[ci] = int(qz[0])
-                size, bits = _mag_bits(dc)
-                code, ln = dc_tabs[tab][size]
+    for mcu in range(len(coefs[0])):
+        # DRI: close the segment every restart_interval MCUs —
+        # flush (1-pad to byte), emit RSTn, reset DC predictors
+        if restart_interval and mcu and mcu % restart_interval == 0:
+            bw.flush()
+            scan_parts.append(bytes(bw.buf))
+            scan_parts.append(bytes([0xFF, 0xD0 + (rst_n % 8)]))
+            rst_n += 1
+            bw = _BitWriter()
+            prev_dc = [0, 0, 0]
+        for ci, (_plane, _q, tab) in enumerate(comps):
+            qz = coefs[ci][mcu]
+            dc = int(qz[0]) - prev_dc[ci]
+            prev_dc[ci] = int(qz[0])
+            size, bits = _mag_bits(dc)
+            code, ln = dc_tabs[tab][size]
+            bw.put(code, ln)
+            if size:
+                bw.put(bits, size)
+            run = 0
+            last_nz = 0
+            for k in range(63, 0, -1):
+                if qz[k]:
+                    last_nz = k
+                    break
+            for k in range(1, last_nz + 1):
+                v = int(qz[k])
+                if v == 0:
+                    run += 1
+                    continue
+                while run > 15:
+                    code, ln = ac_tabs[tab][0xF0]
+                    bw.put(code, ln)
+                    run -= 16
+                size, bits = _mag_bits(v)
+                code, ln = ac_tabs[tab][(run << 4) | size]
                 bw.put(code, ln)
-                if size:
-                    bw.put(bits, size)
+                bw.put(bits, size)
                 run = 0
-                last_nz = 0
-                for k in range(63, 0, -1):
-                    if qz[k]:
-                        last_nz = k
-                        break
-                for k in range(1, last_nz + 1):
-                    v = int(qz[k])
-                    if v == 0:
-                        run += 1
-                        continue
-                    while run > 15:
-                        code, ln = ac_tabs[tab][0xF0]
-                        bw.put(code, ln)
-                        run -= 16
-                    size, bits = _mag_bits(v)
-                    code, ln = ac_tabs[tab][(run << 4) | size]
-                    bw.put(code, ln)
-                    bw.put(bits, size)
-                    run = 0
-                if last_nz < 63:
-                    code, ln = ac_tabs[tab][0x00]  # EOB
-                    bw.put(code, ln)
+            if last_nz < 63:
+                code, ln = ac_tabs[tab][0x00]  # EOB
+                bw.put(code, ln)
     bw.flush()
     scan_parts.append(bytes(bw.buf))
     scan_bytes = b"".join(scan_parts)
@@ -325,24 +337,8 @@ def write_jpeg_progressive(path: str, rgb: np.ndarray,
     Cb = -0.168736 * r - 0.331264 * g + 0.5 * b + 128.0
     Cr = 0.5 * r - 0.418688 * g - 0.081312 * b + 128.0
     comps = [(Y, qy, 0), (Cb, qc, 1), (Cr, qc, 1)]
-    H8, W8 = -(-h // 8) * 8, -(-w // 8) * 8
-    nby, nbx = H8 // 8, W8 // 8
-    C = _dct_matrix()
-
-    coefs = [np.zeros((nby * nbx, 64), dtype=np.int64) for _ in comps]
-    for ci, (plane, q, _tab) in enumerate(comps):
-        for by in range(0, H8, 8):
-            for bx in range(0, W8, 8):
-                blk = np.zeros((8, 8))
-                ys, xs = min(8, h - by), min(8, w - bx)
-                blk[:ys, :xs] = plane[by:by + ys, bx:bx + xs]
-                if ys < 8:
-                    blk[ys:, :] = blk[ys - 1, :]
-                if xs < 8:
-                    blk[:, xs:] = blk[:, xs - 1:xs]
-                f = C @ (blk - 128.0) @ C.T
-                coefs[ci][(by // 8) * nbx + bx // 8] = np.floor(
-                    f / q + 0.5).astype(np.int64).ravel()[_ZIG]
+    coefs = [_block_coefs(plane, q) for plane, q, _tab in comps]
+    nblocks = len(coefs[0])
 
     dc_tabs = {t: _huff_codes(*_HT[("dc", t)]) for t in (0, 1)}
     ac_tabs = {t: _huff_codes(*_HT[("ac", t)]) for t in (0, 1)}
@@ -351,7 +347,7 @@ def write_jpeg_progressive(path: str, rgb: np.ndarray,
     # scan 1: interleaved DC first, Al=1
     bw = _BitWriter()
     prev = [0, 0, 0]
-    for bidx in range(nby * nbx):
+    for bidx in range(nblocks):
         for ci, (_p, _q, tab) in enumerate(comps):
             dc = int(coefs[ci][bidx][0]) >> 1
             diff = dc - prev[ci]
@@ -368,7 +364,7 @@ def write_jpeg_progressive(path: str, rgb: np.ndarray,
 
     # scan 2: interleaved DC refinement, Ah=1 Al=0
     bw = _BitWriter()
-    for bidx in range(nby * nbx):
+    for bidx in range(nblocks):
         for ci in range(3):
             bw.put(int(coefs[ci][bidx][0]) & 1, 1)
     bw.flush()
@@ -380,7 +376,7 @@ def write_jpeg_progressive(path: str, rgb: np.ndarray,
         ac = ac_tabs[tab]
         # AC first: Ss=1 Se=63 Ah=0 Al=1, EOB0 per block
         bw = _BitWriter()
-        for bidx in range(nby * nbx):
+        for bidx in range(nblocks):
             now = _trunc_shift(coefs[ci][bidx], 1)
             nz = np.flatnonzero(now[1:]) + 1
             last = int(nz[-1]) if len(nz) else 0
@@ -408,7 +404,7 @@ def write_jpeg_progressive(path: str, rgb: np.ndarray,
 
         # AC refinement: Ss=1 Se=63 Ah=1 Al=0
         bw = _BitWriter()
-        for bidx in range(nby * nbx):
+        for bidx in range(nblocks):
             v = coefs[ci][bidx]
             prev_c = _trunc_shift(v, 1)
             items: list = []  # 'z' | ('c', bit) in position order
@@ -776,13 +772,11 @@ def decode_jpeg(data: bytes) -> np.ndarray:
     C = _dct_matrix()
     planes = [np.zeros((H8, W8)) for _ in range(3)]
     for ci, (cid, tq) in enumerate(comps):
-        q = qt[tq]
-        for b in range(nby * nbx):
-            by, bx = (b // nbx) * 8, (b % nbx) * 8
-            blk = np.zeros(64, dtype=np.float64)
-            blk[_ZIG] = coefs[ci][b]
-            f = blk.reshape(8, 8) * q
-            planes[ci][by:by + 8, bx:bx + 8] = C.T @ f @ C + 128.0
+        blk = np.zeros((nby * nbx, 64), dtype=np.float64)
+        blk[:, _ZIG] = coefs[ci]
+        pix = _dct_product(C.T, blk.reshape(-1, 8, 8) * qt[tq], C) + 128.0
+        planes[ci] = pix.reshape(nby, nbx, 8, 8).transpose(0, 2, 1, 3).reshape(
+            H8, W8)
     Y, Cb, Cr = (p[:h, :w] for p in planes)
     r = Y + 1.402 * (Cr - 128.0)
     g = Y - 0.344136 * (Cb - 128.0) - 0.714136 * (Cr - 128.0)
@@ -855,19 +849,19 @@ def jpeg_progressive_roundtrip_query():
 def jpeg_roundtrip_sql(quality: int = 90, rows: int = 256,
                        cols: int = 256, round_to: int = 6) -> str:
     """Exact DuckDB mirror of ``jpeg_roundtrip_query`` AND
-    ``jpeg_progressive_roundtrip_query`` (round-4: previously
-    rows-only). The Huffman layer is LOSSLESS (and the progressive
-    scan script carries the identical quantized coefficients —
-    pytest-pinned), so decode(encode(x)) is exactly the quantization
-    math: YCbCr → per-8×8 DCT → floor(f/q + 0.5)·q → IDCT → RGB →
-    clip(floor(+0.5)). Every dot product is emitted as an EXPLICIT
-    sequential 8-term expression over pivoted columns — numpy's 8×8
-    matmul is bit-identical to plain left-to-right accumulation
-    (verified block-by-block), and sequential order is REQUIRED:
-    flat blocks put DC/q exactly on .5 quantization boundaries, where
-    a hash-aggregate SUM's arbitrary order flips floor() (measured 58
-    of 256 row checksums wrong with SUM). Packed ARGB row sums are
-    integer-valued, so the final aggregation order is exact."""
+    ``jpeg_progressive_roundtrip_query``. The Huffman layer is
+    LOSSLESS (and the progressive scan script carries the identical
+    quantized coefficients — pytest-pinned), so decode(encode(x)) is
+    exactly the quantization math: YCbCr → per-8×8 DCT → floor(f/q +
+    0.5)·q → IDCT → RGB → clip(floor(+0.5)). Every dot product is
+    emitted as an EXPLICIT sequential 8-term expression over pivoted
+    columns, the order in which the codec's ``_dct_product``
+    accumulates (numpy's ``@`` is not bit-identical to it on every
+    host), and sequential order is REQUIRED: flat blocks put DC/q
+    exactly on .5 quantization boundaries, where a hash-aggregate SUM's
+    arbitrary order flips floor() (measured 58 of 256 row checksums
+    wrong with SUM). Packed ARGB row sums are integer-valued, so the
+    final aggregation order is exact."""
     C = _dct_matrix()
     qy, qc = _scaled_q(quality)
 

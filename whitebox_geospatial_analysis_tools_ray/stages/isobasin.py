@@ -48,8 +48,7 @@ import ray
 import ray.data as rd
 
 from .hydro import _tile_pointers, flow_accumulation_tile_refs
-from .raster import RasterSpec
-from .raster import synth_value
+from .raster import GATE_SPEC, RasterSpec, synth_value
 from .terrain import _DX, _DY, d8_kernel
 
 _INFLOW = (16.0, 32.0, 64.0, 128.0, 1.0, 2.0, 4.0, 8.0)
@@ -305,7 +304,7 @@ def isobasin(spec: RasterSpec | None = None,
     """Default threshold 15: max CA on the 96×96 synth terrain is 25,
     so the old default of 30 produced ZERO trunk cells/outlets and
     never exercised phase 1; 15 yields ~200 outlets."""
-    spec = spec or RasterSpec(rows=96, cols=96, tile_rows=32)
+    spec = spec or GATE_SPEC
     cols = spec.cols
     acc_refs = flow_accumulation_tile_refs(spec)
 

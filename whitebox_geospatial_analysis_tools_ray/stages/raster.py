@@ -25,7 +25,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from ..core.rng import NODATA
+from ..core.rng import GATE_SIDE, NODATA
 
 _A = 2654435761
 _AY = 2246822519
@@ -43,6 +43,11 @@ class RasterSpec:
     @property
     def n_tiles(self) -> int:
         return math.ceil(self.rows / self.tile_rows)
+
+
+# the gate raster of the queries whose exact oracle is a sequential
+# recursive-CTE closure (their SQL mirrors default to GATE_SIDE too)
+GATE_SPEC = RasterSpec(rows=GATE_SIDE, cols=GATE_SIDE, tile_rows=32)
 
 
 def synth_value(cell: np.ndarray) -> np.ndarray:

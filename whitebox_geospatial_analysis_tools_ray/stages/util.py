@@ -3,6 +3,15 @@
 from __future__ import annotations
 
 
+def cluster_cpus() -> int:
+    """CPUs in the Ray cluster; 8 when Ray cannot say."""
+    try:
+        import ray
+        return int(ray.cluster_resources().get("CPU", 8))
+    except Exception:
+        return 8
+
+
 def coalesce_partials(partials, num_partitions: int | None = None):
     """Shrink a pre-aggregated partials Dataset to a few blocks before the
     final ``groupby``.
@@ -19,12 +28,7 @@ def coalesce_partials(partials, num_partitions: int | None = None):
         # Fixed CPU-scaled fan-out. (target_num_rows_per_block looks right
         # here but its StreamingRepartition only SPLITS blocks — it never
         # merges small ones, so it cannot shrink the reduce fan-out.)
-        try:
-            import ray
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        num_partitions = max(2, min(16, cpus // 2))
+        num_partitions = max(2, min(16, cluster_cpus() // 2))
     return partials.repartition(num_partitions)
 
 
@@ -75,12 +79,7 @@ def adaptive_num_buckets(est_keys: int | None = None, per_cpu: int = 4,
     Results are invariant to the bucket count — every key lives in
     exactly one bucket whatever NB is (pinned by
     tests/test_bucket_invariance.py across NB ∈ {2, 64, 1024})."""
-    try:
-        import ray
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    nb = per_cpu * max(1, cpus)
+    nb = per_cpu * max(1, cluster_cpus())
     if est_keys is not None:
         nb = min(nb, max(1, int(est_keys)))
     return max(lo, min(hi, nb))
