@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import duckdb
 import pandas as pd
 import pytest
@@ -6,6 +9,19 @@ import ray
 SF_DIR = "/root/testdata/sf0.001"
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
+
+
+# DuckDB spills an in-memory database's overflow into ./.tmp under the
+# working directory; the harness's oracles spill outside the checkout.
+# One directory per process: concurrent DuckDB processes must not share
+# temp files.
+DUCKDB_SPILL_DIR = os.path.join(tempfile.gettempdir(),
+                                f"duckdb-spill-{os.getpid()}")
+
+
+def duck_connect() -> duckdb.DuckDBPyConnection:
+    """An in-memory DuckDB connection that spills outside the checkout."""
+    return duckdb.connect(config={"temp_directory": DUCKDB_SPILL_DIR})
 
 
 def pytest_configure(config):
@@ -33,7 +49,7 @@ def ray_session(request):
 
 @pytest.fixture(scope="session")
 def duck():
-    con = duckdb.connect()
+    con = duck_connect()
     for t in TABLES:
         con.execute(
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF_DIR}/{t}.parquet')")

@@ -1,6 +1,6 @@
-"""Round-5 ADVICE regression tests.
+"""Regression tests for the trained-IVF training sample and sql_round.
 
-Medium finding: the trained-IVF oracle ranked the smallest-md5(vec_id)
+The trained-IVF oracle once ranked the smallest-md5(vec_id)
 training sample over NULL-FILTERED rows, while the impl's
 _sample_vec_ids ranks ALL vec_ids (it scans only the 8-byte id column
 — the 100-TB-cheap path) and drops null embeddings only after the
@@ -13,7 +13,6 @@ the impl: rank over all ids, drop nulls after the LIMIT.
 import os
 import shutil
 
-import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -21,17 +20,14 @@ import pyarrow.parquet as pq
 import pytest
 
 import __ray_entry__ as entry_mod
-
-SF_DIR = "/root/testdata/sf0.001"
-TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
-          "lineitem", "events", "documents", "embeddings"]
+from conftest import SF_DIR, TABLES, duck_connect
 
 
 @pytest.fixture(scope="module")
 def big_dirty_emb(tmp_path_factory):
     """3000-row embeddings table (> the 2000-row training sample) with
     ~31 null embeddings scattered so ~20 land inside the bottom-2000
-    md5 order — the exact shape the round-4 advisor flagged."""
+    md5 order — the shape on which the oracle and the impl diverged."""
     d = tmp_path_factory.mktemp("big_dirty_emb")
     for t in TABLES[:-1]:
         shutil.copy(f"{SF_DIR}/{t}.parquet", d / f"{t}.parquet")
@@ -46,7 +42,7 @@ def big_dirty_emb(tmp_path_factory):
         "label": pa.array((np.arange(n) % 5).astype(np.int32),
                           pa.int32())})
     pq.write_table(out, d / "embeddings.parquet")
-    con = duckdb.connect()
+    con = duck_connect()
     for t in TABLES:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
                     f"read_parquet('{d}/{t}.parquet')")
@@ -108,7 +104,7 @@ def test_sql_round_half_away_matches_duckdb_near_ties():
 
     from whitebox_geospatial_analysis_tools_ray.stages.util import sql_round
 
-    con = duckdb.connect()
+    con = duck_connect()
     for v in (0.49999999999999994, -0.49999999999999994, 2.5, -2.5,
               4.999999999999999, -4.999999999999999):
         for nd in (0, 2):

@@ -6,7 +6,8 @@ tasks wait for one. This test drives the broadcast geo-joins and the
 stages with per-worker state (decoders, classifier) in a fresh process
 with ``num_cpus=1`` under a timeout, and checks each result exactly
 against its DuckDB oracle. A source lint keeps actor pools out of the
-package, so every ``map_batches`` stage stays a plain task.
+package, so every ``map_batches`` stage stays a plain task; another
+keeps every Parquet read on ``sources.read_table``.
 """
 
 import ast
@@ -97,3 +98,19 @@ def test_no_actor_pool_stages_in_package():
     assert not offenders, (
         "actor-pool stage; run it as a plain task and keep per-process "
         "state in a module cache:\n" + "\n".join(offenders))
+
+
+def test_parquet_reads_go_through_read_table():
+    """Every Parquet read in the package outside ``sources/`` goes
+    through ``sources.read_table``, which owns the read fan-out."""
+    offenders = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.parent.name != "sources"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        == "read_parquet"]
+    assert not offenders, (
+        "read_parquet outside sources/; use sources.read_table:\n"
+        + "\n".join(offenders))

@@ -81,6 +81,42 @@ def test_checkpoint_resume_equals_fresh(tmp_path, ray_session):
     pd.testing.assert_frame_equal(a[["k", "v"]], b[["k", "v"]])
 
 
+
+def test_resume_after_torn_manifest_tail_equals_fresh(tmp_path, ray_session):
+    """A job killed mid-append leaves a torn last manifest line. The
+    resume drops it with a warning, rewrites that partition, and gives
+    the fresh run's output and a whole manifest."""
+    import json
+
+    import ray.data as rd
+    from whitebox_geospatial_analysis_tools_ray.state.checkpoint import (
+        checkpointed_write, load_manifest, read_checkpointed)
+
+    df = pd.DataFrame({"k": np.arange(100) % 7, "v": np.arange(100)})
+    fresh = str(tmp_path / "fresh")
+    checkpointed_write(rd.from_pandas(df), fresh, "k", stage="test")
+
+    out = str(tmp_path / "torn")
+    checkpointed_write(rd.from_pandas(df[df["k"] < 3]), out, "k", stage="test")
+    mpath = os.path.join(out, "_MANIFEST.jsonl")
+    with open(mpath) as f:
+        lines = f.read().splitlines()
+    assert len(lines) == 3
+    with open(mpath, "w") as f:
+        f.write("\n".join(lines[:2] + [lines[2][:len(lines[2]) // 2]]))
+    with pytest.warns(UserWarning, match="torn last line"):
+        assert len(load_manifest(out)) == 2
+    with pytest.warns(UserWarning, match="torn last line"):
+        man = checkpointed_write(rd.from_pandas(df), out, "k", stage="test")
+    assert man["rows"].sum() == 100 and len(man) == 7
+
+    a = read_checkpointed(fresh).to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
+    b = read_checkpointed(out).to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(a[["k", "v"]], b[["k", "v"]])
+    with open(mpath) as f:
+        assert sorted(json.loads(ln)["partition"] for ln in f) == list(range(7))
+    assert not [f for f in os.listdir(out) if f.startswith(".tmp")]
+
 def test_xyz_source(tmp_path, ray_session):
     from whitebox_geospatial_analysis_tools_ray.sources.xyz import read_xyz
     p = tmp_path / "pts.xyz"

@@ -10,7 +10,6 @@ import os
 import sys
 import time
 
-import duckdb
 import ray
 
 if len(sys.argv) < 2:
@@ -24,9 +23,10 @@ ray.init(address="local", num_cpus=8, include_dashboard=False,
 ray.data.DataContext.get_current().enable_progress_bars = False
 
 import __ray_entry__ as e  # noqa: E402
-from conftest import TABLES, assert_matches_oracle, to_pandas  # noqa: E402
+from conftest import (TABLES, assert_matches_oracle, duck_connect,  # noqa: E402
+                      to_pandas)
 
-con = duckdb.connect()
+con = duck_connect()
 for t in TABLES:
     con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
                 f"read_parquet('{SF}/{t}.parquet')")

@@ -18,6 +18,7 @@ import ray.data as rd
 from ..core.features import seeded_polygons
 from ..core.rng import EAST, NORTH, SOUTH, WEST, geocode_xy
 from ..core.tiles import RectGrid
+from ..sources import read_table
 from ..stages.spatial_join import BroadcastPIPJoin, cached_join
 from ..stages.util import combine_bounded
 
@@ -72,6 +73,6 @@ def flagship(sf_dir: str, tile_width: float = 250.0) -> "rd.Dataset":
         x, y = geocode_xy(np.asarray(batch["doc_id"], dtype=np.int64))
         return x, y, None
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id"])
     return zone_tile_counts(ds, doc_xy, tile_width, "n_points",
                             batch_format="numpy", batch_size=32768)

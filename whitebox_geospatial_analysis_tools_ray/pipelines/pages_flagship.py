@@ -22,8 +22,8 @@ import numpy as np
 import ray.data as rd
 
 from ..core.rng import geocode_xy
+from ..sources import read_table
 from ..sources.pages import extract_texts
-from ..stages.util import cluster_cpus
 from .flagship import zone_tile_counts
 
 
@@ -58,22 +58,7 @@ def pages_flagship(pages_dir: str, tile_width: float = 250.0) -> "rd.Dataset":
                               count=len(texts))
         return x, y, n_chars
 
-    # Read fan-out: one task per shard file WHEN files are few (Ray's
-    # default parallelism caps below the file count, idling CPUs on
-    # the scan), but capped at 4 tasks/CPU for many-small-files
-    # layouts — the 512-shard rehearsal at one task/file ran 2× slower
-    # (512 ragged 4k-row tasks, 16 waves of per-task overhead); at the
-    # cap each read task bundles several files back into the clean
-    # ~16k-row wave shape, and the cap itself scales with cluster size.
-    import glob
-    import os
-    n_files = len(glob.glob(os.path.join(pages_dir, "*.parquet"))) or None
-    if n_files:
-        n_blocks = min(n_files, max(4 * cluster_cpus(), 128))
-    else:
-        n_blocks = None
-    ds = rd.read_parquet(pages_dir, columns=["url", "html"],
-                         override_num_blocks=n_blocks)
+    ds = read_table(pages_dir, columns=["url", "html"])
     # batch_size=None → one batch per 15,625-row shard block: 128 equal
     # tasks (4 clean waves on 32 CPUs) and read→map fusion; bundling to
     # larger batches made 43 ragged tasks whose last wave idled a third

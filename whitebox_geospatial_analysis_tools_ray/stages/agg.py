@@ -25,6 +25,7 @@ import pandas as pd
 import ray.data as rd
 
 from ..core.tiles import RectGrid
+from ..sources import read_table
 
 
 def cell_aggregates(points: "rd.Dataset", grid: RectGrid,
@@ -75,7 +76,7 @@ def zonal_stats(sf_dir: str, round_to: int = 6) -> "rd.Dataset":
 
     Output: (lang, n, avg_z, min_z, max_z, range_z, total_z, std_z).
     """
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"])
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         z = batch["n_chars"].astype("float64")
@@ -113,7 +114,7 @@ def value_histogram(sf_dir: str, nbins: int = 20) -> "rd.Dataset":
     """StatsTools Histogram (Histogram.java): fixed-width bins over
     n_chars ∈ [global min, global max]; partial per-batch histograms
     summed per bin. Output (bin_id, bin_count)."""
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["n_chars"])
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["n_chars"])
 
     def mm_partial(b):
         z = np.asarray(b["n_chars"], dtype=np.float64)

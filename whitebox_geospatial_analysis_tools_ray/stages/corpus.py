@@ -28,6 +28,7 @@ import pandas as pd
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from ..sources import read_table
 from .dedup import ngram_jaccard_pairs
 from .util import coalesce_partials
 
@@ -321,8 +322,8 @@ def boilerplate_ngrams(sf_dir: str, n: int = 5, k: int = 100) -> pd.DataFrame:
 
     Output: (ngram, df) — k rows, df desc then ngram asc.
     """
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         grams: dict[str, int] = {}
@@ -355,7 +356,7 @@ def topk_tokens(sf_dir: str, k: int = 50) -> pd.DataFrame:
 
     Output: (token, cnt) — k rows.
     """
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    docs = read_table(f"{sf_dir}/documents.parquet", columns=["text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         toks: list[str] = []
@@ -395,8 +396,8 @@ def decontaminate(sf_dir: str, n: int = 4, bench_mod: int = 97) -> "rd.Dataset":
     """
     import ray
 
-    bench = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                            columns=["doc_id", "text"])
+    bench = read_table(f"{sf_dir}/documents.parquet",
+                       columns=["doc_id", "text"])
 
     def bench_grams(batch: pd.DataFrame) -> pd.DataFrame:
         grams = set()
@@ -413,8 +414,8 @@ def decontaminate(sf_dir: str, n: int = 4, bench_mod: int = 97) -> "rd.Dataset":
         gset.update(b["g"])
     gref = ray.put(gset)
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
 
     def scan(batch: pd.DataFrame) -> pd.DataFrame:
         grams = ray.get(gref)
@@ -455,8 +456,8 @@ def stratified_sample(sf_dir: str, per_lang: int = 20) -> pd.DataFrame:
 
     Output: (lang, doc_id, sample_rank), rank 1..per_lang by md5 order.
     """
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "lang"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "lang"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         # null lang groups under '' (astype(str) alone would mint a
@@ -517,14 +518,14 @@ def pack_sequences(sf_dir: str, seq_len: int = 512,
 
     from .util import adaptive_num_buckets
     NB = adaptive_num_buckets()
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
 
     def counts(batch: pd.DataFrame) -> pd.DataFrame:
         did = batch["doc_id"].to_numpy(dtype=np.int64)
         # count via the shared SQL_WS tokenizer (Python str.split()
         # splits on 19 Unicode whitespace codepoints where the oracle's
-        # RE2 '\s' covers 5 — the round-4 exotic-whitespace audit)
+        # RE2 '\s' covers 5)
         cnt = np.fromiter(
             (len(_tokens(t)) for t in batch["text"]),
             dtype=np.int64, count=len(batch))
@@ -590,8 +591,8 @@ def repetition_filter(sf_dir: str, max_dup_frac: float = 0.02) -> "rd.Dataset":
     dup_frac = 1 − distinct_3grams / total_3grams. Stateless
     ``map_batches`` — no shuffle; docs under 3 tokens are never
     flagged. Output (doc_id, dup_frac) rounded half-away to 6 dp."""
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
 
     def scan(batch: pd.DataFrame) -> pd.DataFrame:
         ids, fracs = [], []
@@ -630,8 +631,8 @@ def chunk_documents(sf_dir: str, chunk_len: int = 64,
     first_tok_crc = crc32 of the chunk's first token (a cheap content
     witness the oracle reproduces bit-exactly).
     """
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
 
     def scan(batch: pd.DataFrame) -> pd.DataFrame:
         ids, cids, toks_n, crcs = [], [], [], []
@@ -686,8 +687,8 @@ def corpus_clean(sf_dir: str, min_tokens: int = 20,
 
     from .util import bucketed_agg
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
 
     def bench_grams(batch: pd.DataFrame) -> pd.DataFrame:
         grams = set()
@@ -781,8 +782,8 @@ def duplicate_spans(sf_dir: str, k: int = 5) -> "rd.Dataset":
     """
     from .util import bucketed_agg
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
 
     _HK1 = "0123456789123456"           # pandas' default hash key
     _HK2 = "graft.dup.spans!"           # independent 16-byte key
@@ -913,7 +914,7 @@ def lm_perplexity(sf_dir: str, round_to: int = 6,
     from .util import bucketed_agg
 
     cols = ["doc_id", "text"] + (["lang"] if _with_lang else [])
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=cols)
+    docs = read_table(f"{sf_dir}/documents.parquet", columns=cols)
 
     # tokens are whitespace-split, so a single space is an unambiguous
     # bigram separator — and unlike \x00 it is safe in pandas string
@@ -1107,7 +1108,7 @@ def _bpe_word_counts(sf_dir: str) -> pd.DataFrame:
     Returns the full (token, cnt) table."""
     from .util import bucketed_agg
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    docs = read_table(f"{sf_dir}/documents.parquet", columns=["text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         toks: list[str] = []
@@ -1226,7 +1227,7 @@ def bpe_encode_stats(sf_dir: str, n_merges: int = 50,
              enumerate(zip(merges["left"], merges["right"]))}
     ranks_ref = ray.put(ranks)
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    docs = read_table(f"{sf_dir}/documents.parquet", columns=["text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         rk = ray.get(ranks_ref)
@@ -1281,8 +1282,8 @@ def importance_weights(sf_dir: str, target_lang: str = "en",
 
     from .util import bucketed_agg
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text", "lang"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text", "lang"])
 
     def count_partial(batch: pd.DataFrame) -> pd.DataFrame:
         alls: list[str] = []

@@ -24,6 +24,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
+from ..sources import read_table
 from .util import bucketed_agg, coalesce_partials
 
 from .util import SQL_WS as _SQL_WS, sql_ws_re as _sql_ws_re
@@ -43,7 +44,7 @@ def exact_dedup(sf_dir: str) -> "rd.Dataset":
     before the shuffle (the shuffle moves one row per distinct hash per
     batch, never the text payload).
     """
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         df = pd.DataFrame({"text_md5": _md5_series(batch["text"]),
@@ -88,7 +89,7 @@ def pages_exact_dedup(pages_dir: str, num_buckets: int | None = None,
     the bucketed combine emits ONE summary row per bucket; the driver
     folds ≤ num_buckets rows. Output: (n_pages, n_distinct, max_group).
     """
-    ds = rd.read_parquet(pages_dir, columns=["text"])
+    ds = read_table(pages_dir, columns=["text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         g = (pd.DataFrame({"text_md5": _md5_series(batch["text"])})
@@ -280,7 +281,7 @@ def minhash_candidates(sf_dir: str, max_bucket: int = 1024,
     cap the bucket degrades to STAR pairs (min-id hub → every other
     member): O(m) pairs that preserve the connected components a
     dedup pass actually consumes. Below the cap output is unchanged."""
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     bands = ds.map_batches(minhash_bands, batch_format="pandas",
                            batch_size=1024)
 
@@ -399,8 +400,8 @@ def minhash_verified_pairs(sf_dir: str, threshold: float = 0.6,
                     [_shingle_crcs(t).tobytes() for t in sub["text"]],
                     dtype="object")})
 
-        docs = (rd.read_parquet(f"{sf_dir}/documents.parquet",
-                                columns=["doc_id", "text"])
+        docs = (read_table(f"{sf_dir}/documents.parquet",
+                           columns=["doc_id", "text"])
                 .map_batches(crcs_involved, batch_format="pandas")
                 .to_pandas())                 # ≤ 2×pairs rows by filter
         lut = {int(d): np.frombuffer(c, dtype=np.int64)
@@ -442,8 +443,8 @@ def minhash_verified_pairs(sf_dir: str, threshold: float = 0.6,
                 lambda t: _shingle_crcs(t).tobytes()),
             "role": np.ones(len(batch), dtype=np.int64)})
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
     unioned = (cand.map_batches(pair_sides, batch_format="pandas")
                .union(docs.map_batches(shingle_rows,
                                        batch_format="pandas")))
@@ -514,8 +515,8 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5) -> "rd.Dataset":
     the right entry point and this operator the per-bucket verify."""
     from .util import adaptive_num_buckets
     NB = adaptive_num_buckets()
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
 
     def postings(batch: pd.DataFrame) -> pd.DataFrame:
         crc_l, doc_l, sz_l = [], [], []
@@ -607,7 +608,7 @@ def _simhash_of(text: str) -> int:
 def simhash_signatures(sf_dir: str) -> "rd.Dataset":
     """64-bit SimHash per document from token crc32s; output
     (doc_id, simhash_hex, band0..band3 hex) for hamming-banded bucketing."""
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def fn(batch: pd.DataFrame) -> pd.DataFrame:
         sig_arr = np.array([_simhash_of(t) for t in batch["text"]],
@@ -648,8 +649,8 @@ def simhash_neardup_pairs(sf_dir: str, max_hamming: int = 3,
     XOR-popcount filter."""
     from .util import adaptive_num_buckets
     NB = adaptive_num_buckets()
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
 
     def postings(batch: pd.DataFrame) -> pd.DataFrame:
         sig = np.array([_simhash_of(t) for t in batch["text"]],
@@ -760,8 +761,8 @@ def minhash_error_eval(sf_dir: str, threshold: float = 0.6,
                    dtype="object")}
         return pd.DataFrame(out)
 
-    sig_df = (rd.read_parquet(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "text"])
+    sig_df = (read_table(f"{sf_dir}/documents.parquet",
+                         columns=["doc_id", "text"])
               .map_batches(sigs_involved, batch_format="pandas")
               .to_pandas())
     sigs = {int(d): np.frombuffer(s, dtype=np.int64)

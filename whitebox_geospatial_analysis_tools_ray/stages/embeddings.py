@@ -28,13 +28,14 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from ..sources import read_table
 from .ann import _batch_matrix
 from .util import coalesce_partials
 
 
 def _read_embeddings(sf_dir: str) -> "rd.Dataset":
-    return rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                           columns=["vec_id", "embedding"])
+    return read_table(f"{sf_dir}/embeddings.parquet",
+                      columns=["vec_id", "embedding"])
 
 
 def _full_matrix(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
@@ -51,7 +52,7 @@ def _full_matrix(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sample_vec_ids(sf_dir: str, sample_rows: int) -> np.ndarray:
-    """UNBIASED bounded training sample (round-4 verdict item 5): the
+    """UNBIASED bounded training sample: the
     ``sample_rows`` vec_ids with the smallest md5(vec_id) — a
     content-derived uniform draw that is identical whatever the shard
     layout or file order (the previous first-N-file-order sample was
@@ -60,8 +61,8 @@ def _sample_vec_ids(sf_dir: str, sample_rows: int) -> np.ndarray:
     O(blocks × sample_rows) candidate rows, never embeddings."""
     import hashlib
 
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id"])
+    ds = read_table(f"{sf_dir}/embeddings.parquet",
+                    columns=["vec_id"])
 
     def partial(batch) -> pd.DataFrame:
         ids = np.asarray(batch["vec_id"], dtype=np.int64)
@@ -157,7 +158,7 @@ def cosine_neardup_pairs(sf_dir: str, threshold: float = 0.35,
                          n_lists: int = 16, seed: int = 42,
                          round_to: int = 6) -> "rd.Dataset":
     """All pairs (a < b) with cosine ≥ threshold — EXACT, via IVF
-    buckets (round 2; was a full-matrix broadcast + all-pairs matmul).
+    buckets, not a full-matrix broadcast + all-pairs matmul.
 
     Plan: fit coarse centroids on a bounded sample; every vector is
     assigned HOME = its nearest list, and DUPLICATED as a visitor into
@@ -224,8 +225,7 @@ def cosine_neardup_pairs(sf_dir: str, threshold: float = 0.35,
 def cosine_neardup_stats(sf_dir: str, threshold: float = 0.35,
                          n_lists: int = 16, seed: int = 42,
                          round_to: int = 6) -> pd.DataFrame:
-    """Scale diagnostic for ``cosine_neardup_pairs`` (round-4 verdict
-    item 5): one row (n_vectors, n_postings, dup_factor, n_pairs).
+    """Scale diagnostic for ``cosine_neardup_pairs``: one row (n_vectors, n_postings, dup_factor, n_pairs).
     dup_factor = postings/vectors is the ``f`` in the plan's per-bucket
     f·N²/n_lists cost — the number a 100-TB operator watches to decide
     whether the threshold/n_lists pairing keeps the bucket matmuls
@@ -484,10 +484,9 @@ def cluster_attributes(sf_dir: str, k: int = 5, iters: int = 8,
     kmeans_embeddings drift rule). Output (cluster_id, n, inertia);
     rows-only, mirror-tested."""
     import ray
-    import ray.data as rd
 
-    ds = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_acctbal", "c_nationkey"])
+    ds = read_table(f"{sf_dir}/customer.parquet",
+                    columns=["c_custkey", "c_acctbal", "c_nationkey"])
 
     def moments(batch) -> pd.DataFrame:
         a = np.asarray(batch["c_acctbal"], dtype=np.float64)

@@ -22,6 +22,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
+from ..sources import read_table
 from ..sources.jpeg import decode_jpeg
 from ..sources.png import decode_png
 
@@ -39,8 +40,8 @@ def encode_fake_image(doc_id: int, payload: bytes) -> bytes:
 def media_table(sf_dir: str) -> "rd.Dataset":
     """documents → media rows (doc_id, media_type, payload:binary).
     The text bytes stand in for the image payload."""
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = read_table(f"{sf_dir}/documents.parquet",
+                    columns=["doc_id", "text"])
 
     def pack(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -128,7 +129,7 @@ def sample_frames(batch: pd.DataFrame) -> pd.DataFrame:
 def video_frame_sample(sf_dir: str) -> "rd.Dataset":
     """documents → fake videos → sampled frames
     (doc_id, frame_idx, t_ms, checksum)."""
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
     def pack(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -178,7 +179,7 @@ def media_table_png(sf_dir: str) -> "rd.Dataset":
 
     from ..sources.png import write_png
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
     def pack(batch: pd.DataFrame) -> pd.DataFrame:
         import struct as _struct
@@ -324,8 +325,8 @@ def encode_fake_audio(doc_id: int) -> bytes:
 
 def audio_table(sf_dir: str) -> "rd.Dataset":
     """documents → audio rows (doc_id, media_type, pcm: binary)."""
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id"])
+    ds = read_table(f"{sf_dir}/documents.parquet",
+                    columns=["doc_id"])
 
     def pack(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({

@@ -12,11 +12,12 @@ from __future__ import annotations
 import ray.data as rd
 
 from ..core.features import doc_points
+from ..sources import read_table
 
 
 def read_points(sf_dir: str, with_lang: bool = False) -> "rd.Dataset":
     cols = ["doc_id", "n_chars"] + (["lang"] if with_lang else [])
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=cols)
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=cols)
     return ds.map_batches(doc_points, batch_format="numpy")
 
 

@@ -15,12 +15,14 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ..sources import read_table
+
 
 
 def q1_pricing_summary(sf_dir: str, round_to: int = 4) -> "rd.Dataset":
     """TPC-H Q1-style pricing summary over lineitem (filter, computed
     columns, grouped agg). Columns match the SQL oracle exactly."""
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity",
                  "l_extendedprice", "l_discount", "l_shipdate"])
@@ -77,8 +79,8 @@ def revenue_by_nation(sf_dir: str, round_to: int = 4) -> "rd.Dataset":
                              "n_orders": pd.Series([], dtype="int64")})
     dim_ref = ray.put((keys, names))
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_totalprice"])
+    orders = read_table(f"{sf_dir}/orders.parquet",
+                        columns=["o_custkey", "o_totalprice"])
 
     def join(batch) -> pd.DataFrame:
         k, nm = ray.get(dim_ref) if isinstance(dim_ref, ray.ObjectRef) else dim_ref
@@ -107,8 +109,8 @@ def revenue_by_nation(sf_dir: str, round_to: int = 4) -> "rd.Dataset":
 
 def top_parts_by_price(sf_dir: str, k: int = 15) -> "rd.Dataset":
     """Global top-k: parts by retail price desc, tie-break p_partkey asc."""
-    ds = rd.read_parquet(f"{sf_dir}/part.parquet",
-                         columns=["p_partkey", "p_name", "p_retailprice"])
+    ds = read_table(f"{sf_dir}/part.parquet",
+                    columns=["p_partkey", "p_name", "p_retailprice"])
     return ds.sort(["p_retailprice", "p_partkey"],
                    descending=[True, False]).limit(k)
 
@@ -119,8 +121,8 @@ def events_tumbling_window(sf_dir: str, window_sec: int = 3600,
 
     Window id = floor(epoch_us(ts) / (window_sec * 1e6)) — identical in
     the SQL oracle. Partial per-batch combine → groupby final."""
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "event_type", "value"])
+    ds = read_table(f"{sf_dir}/events.parquet",
+                    columns=["ts", "event_type", "value"])
     wus = window_sec * 1_000_000
 
     def partial(t: pa.Table) -> pd.DataFrame:
@@ -149,7 +151,7 @@ def user_sessions(sf_dir: str, gap_sec: int = 1800) -> "rd.Dataset":
     """Session windows per user (gap-based): groupby(user).map_groups
     sorts the group by ts and splits on gaps > gap_sec.
     Output: (user_id, n_sessions, n_events, max_session_events)."""
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
+    ds = read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
     def sessions(g: pd.DataFrame) -> pd.DataFrame:
         ts = np.sort(g["ts"].astype("int64").to_numpy())
@@ -168,7 +170,7 @@ def user_sessions(sf_dir: str, gap_sec: int = 1800) -> "rd.Dataset":
 def distinct_event_types(sf_dir: str) -> "rd.Dataset":
     """ListUniqueValues (Scripts/ListUniqueValues.groovy): distinct values
     + counts of an attribute."""
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type"])
+    ds = read_table(f"{sf_dir}/events.parquet", columns=["event_type"])
 
     def partial(t: pa.Table) -> pd.DataFrame:
         vc = t["event_type"].to_pandas().value_counts()
@@ -191,9 +193,8 @@ def attribute_histogram(sf_dir: str):
     task (the repo's small-final rule)."""
     import numpy as np
     import pandas as pd
-    import ray.data as rd
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["n_chars"])
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["n_chars"])
 
     def partial(batch):
         b = np.asarray(batch["n_chars"], dtype=np.int64) // 100
@@ -225,9 +226,8 @@ def attribute_correlation(sf_dir: str):
     bit-identical to SQL."""
     import numpy as np
     import pandas as pd
-    import ray.data as rd
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["n_chars"])
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["n_chars"])
 
     def partial(batch):
         x = np.asarray(batch["n_chars"], dtype=np.int64)
@@ -274,7 +274,7 @@ WHERE n >= 2
 
 
 # ---------------------------------------------------------------------------
-# Large×large shuffle hash join (round 2 — SURVEY §2.4's "ds.join hash
+# Large×large shuffle hash join (SURVEY §2.4's "ds.join hash
 # join when both sides large"; JoinTables.groovy:162-173 is broadcast-only
 # in the reference, this is the scale path it lacks).
 # ---------------------------------------------------------------------------
@@ -373,10 +373,10 @@ def orders_lineitem_join(sf_dir: str, round_to: int = 4,
     """join_large: orders ⋈ lineitem on orderkey — both sides large, no
     broadcast — aggregated to (o_orderpriority, n_items, revenue).
     Exact SQL oracle."""
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_orderpriority"])
-    items = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                            columns=["l_orderkey", "l_extendedprice"])
+    orders = read_table(f"{sf_dir}/orders.parquet",
+                        columns=["o_orderkey", "o_orderpriority"])
+    items = read_table(f"{sf_dir}/lineitem.parquet",
+                       columns=["l_orderkey", "l_extendedprice"])
     joined = shuffle_hash_join(orders, items, "o_orderkey", "l_orderkey",
                                salt=salt)
 
@@ -431,9 +431,9 @@ def events_asof_join(sf_dir: str, left_type: str = "purchase",
     """
     from .util import adaptive_num_buckets
     NB = adaptive_num_buckets()
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "ts", "user_id",
-                                  "event_type"])
+    ds = read_table(f"{sf_dir}/events.parquet",
+                    columns=["event_id", "ts", "user_id",
+                             "event_type"])
 
     def to_bucketed(t: "pa.Table") -> pd.DataFrame:
         et = t["event_type"].to_pandas()
@@ -508,8 +508,8 @@ def events_sliding_window(sf_dir: str, window_sec: int = 3600,
     integer µs, so window membership is exact.
 
     Output: (event_type, window_id, n_events, sum_value)."""
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "event_type", "value"])
+    ds = read_table(f"{sf_dir}/events.parquet",
+                    columns=["ts", "event_type", "value"])
     wus = window_sec * 1_000_000
     hus = hop_sec * 1_000_000
     k = window_sec // hop_sec
@@ -568,8 +568,8 @@ def events_retention(sf_dir: str,
 
     from .util import adaptive_num_buckets
     NB = adaptive_num_buckets()
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "user_id"])
+    ds = read_table(f"{sf_dir}/events.parquet",
+                    columns=["ts", "user_id"])
 
     def to_bucketed(t: "pa.Table") -> pd.DataFrame:
         uid = t["user_id"].to_numpy()
@@ -634,9 +634,9 @@ def events_interval_join(sf_dir: str, left_type: str = "error",
 
     from .util import adaptive_num_buckets
     NB = adaptive_num_buckets()
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "ts", "user_id",
-                                  "event_type"])
+    ds = read_table(f"{sf_dir}/events.parquet",
+                    columns=["event_id", "ts", "user_id",
+                             "event_type"])
 
     def to_bucketed(t: "pa.Table") -> pd.DataFrame:
         et = t["event_type"].to_pandas()
@@ -712,7 +712,7 @@ def q6_forecast_revenue(sf_dir: str, round_to: int = 4) -> pd.DataFrame:
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    ds = rd.read_parquet(
+    ds = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_extendedprice", "l_discount", "l_quantity",
                  "l_shipdate"])
@@ -793,9 +793,9 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
         return empty
     side = ray.put((okeys, odates))
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_extendedprice",
-                                  "l_discount", "l_shipdate"])
+    li = read_table(f"{sf_dir}/lineitem.parquet",
+                    columns=["l_orderkey", "l_extendedprice",
+                             "l_discount", "l_shipdate"])
     cut_sc = pa.scalar(cut, type=pa.timestamp("us"))
 
     def partial(t: "pa.Table") -> pd.DataFrame:

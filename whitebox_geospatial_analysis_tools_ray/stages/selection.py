@@ -49,6 +49,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
+from ..sources import read_table
 from .util import SQL_WS as _SQL_WS, sql_ws_re as _sql_ws_re
 _WS = _sql_ws_re()
 
@@ -97,8 +98,8 @@ def dataset_mixture(sf_dir: str, rates: dict[str, float] | None = None,
     """
     rates = default_mixture_rates() if rates is None else rates
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "source"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "source"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         # null source groups under '' (shared dirty-shard rule)
@@ -158,8 +159,8 @@ def quality_classifier(sf_dir: str, round_to: int = 6) -> "rd.Dataset":
     label = 'keep' iff score ≥ 0.5 (⇔ mean weight ≥ 0).
     """
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
 
     def score(b: pd.DataFrame) -> pd.DataFrame:
         memo: dict[str, int] = {}
@@ -211,8 +212,8 @@ def token_kl_divergence(sf_dir: str, round_to: int = 6) -> pd.DataFrame:
     """
     from .util import bucketed_agg, escape_nul, keyed_group_sum
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["text", "source"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["text", "source"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         cnt: dict[tuple[str, str], int] = {}
@@ -288,9 +289,9 @@ def embedding_quantize(sf_dir: str, round_to: int = 6) -> pd.DataFrame:
 
     # materialize once: the max-abs and error passes both consume the
     # same pruned columns — one storage read, two object-store scans
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding",
-                                  "label"]).materialize()
+    ds = read_table(f"{sf_dir}/embeddings.parquet",
+                    columns=["vec_id", "embedding",
+                             "label"]).materialize()
 
     def _clean(b: pd.DataFrame) -> pd.DataFrame:
         # dirty-shard tolerance: skip rows with a null embedding/label
@@ -404,8 +405,8 @@ def kcenter_sample(sf_dir: str, k: int = 6,
     # blocks instead of re-reading the parquet k times (k extra
     # storage scans at 100 TB; spill-backed blocks are the cheaper
     # re-read path)
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"]).materialize()
+    ds = read_table(f"{sf_dir}/embeddings.parquet",
+                    columns=["vec_id", "embedding"]).materialize()
 
     def seed_partial(b: pd.DataFrame) -> pd.DataFrame:
         cols = {"vec_id": pd.Series([], dtype="int64"),
@@ -509,8 +510,8 @@ def events_funnel(sf_dir: str,
         raise ValueError(f"funnel steps must be distinct, got {steps!r}")
     from .util import adaptive_num_buckets
     NB = adaptive_num_buckets()
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "user_id", "event_type"])
+    ds = read_table(f"{sf_dir}/events.parquet",
+                    columns=["ts", "user_id", "event_type"])
     step_ix = {s: i for i, s in enumerate(steps)}
 
     def to_bucketed(t: "pa.Table") -> pd.DataFrame:
@@ -597,8 +598,8 @@ def length_quantiles(sf_dir: str,
 
     from .util import bucketed_agg
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["text", "lang"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["text", "lang"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         cnt: dict[tuple[str, int], int] = {}
@@ -664,8 +665,8 @@ def incremental_dedup(sf_dir: str, mod: int = 3) -> pd.DataFrame:
     """
     from .util import bucketed_agg, combine_bounded
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         agg: dict[str, list[int]] = {}
@@ -762,8 +763,8 @@ def embedding_pq(sf_dir: str, m: int = 8, n_codes: int = 16,
     sub = d // m
     cref = ray.put(C)
 
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
+    ds = read_table(f"{sf_dir}/embeddings.parquet",
+                    columns=["vec_id", "embedding"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         cols = {"subspace": pd.Series([], dtype="int64"),
@@ -898,8 +899,8 @@ def time_decay_aggregate(sf_dir: str,
                          f"got {halflife_us}")
     from .util import bucketed_agg
 
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "user_id", "value"])
+    ds = read_table(f"{sf_dir}/events.parquet",
+                    columns=["ts", "user_id", "value"])
 
     def max_partial(b: pd.DataFrame) -> pd.DataFrame:
         if len(b) == 0:
@@ -909,7 +910,7 @@ def time_decay_aggregate(sf_dir: str,
 
     # the horizon pre-scan reads ONLY the ts column (prune at the
     # read — the events table is the big side here)
-    mx = (rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
+    mx = (read_table(f"{sf_dir}/events.parquet", columns=["ts"])
           .map_batches(max_partial, batch_format="pandas").to_pandas())
     if mx.empty:
         return rd.from_pandas(pd.DataFrame({

@@ -20,6 +20,7 @@ import pandas as pd
 import ray.data as rd
 
 
+from ..sources import read_table
 from .util import SQL_WS as _SQL_WS, sql_ws_re as _sql_ws_re
 _WS = _sql_ws_re()
 
@@ -31,7 +32,7 @@ def token_stats_by_lang(sf_dir: str, round_to: int = 6) -> "rd.Dataset":
     trimmed text; empty text → 0 tokens.
     Output: (lang, n_docs, total_tokens, avg_tokens, avg_chars).
     """
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "text"])
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["lang", "text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         t = batch["text"].fillna("")
@@ -66,7 +67,7 @@ def quality_scores_by_lang(sf_dir: str, round_to: int = 6) -> "rd.Dataset":
     Shared definition with SQL: ratio over length(text), docs with empty
     text contribute ratio 0. Output:
     (lang, n_docs, avg_punct_ratio, avg_upper_ratio, avg_digit_ratio)."""
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "text"])
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["lang", "text"])
 
     def ratios(t: pd.Series, pattern: str) -> pd.Series:
         n = t.str.len()
@@ -103,7 +104,7 @@ def quality_scores_by_lang(sf_dir: str, round_to: int = 6) -> "rd.Dataset":
 def fingerprint_stats(sf_dir: str) -> "rd.Dataset":
     """Document fingerprint = md5 of whitespace-normalized lowercased text
     (SQL-mirrored). Output: (lang, n_docs, n_distinct_fingerprints)."""
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "text"])
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["lang", "text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         import hashlib
@@ -155,7 +156,7 @@ def langid_confusion(sf_dir: str) -> "rd.Dataset":
     vs the table's lang column. Rows-only oracle (classifier is not SQL)."""
     from ray.data.aggregate import Sum
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang", "text"])
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["lang", "text"])
     pred = ds.map_batches(predict_lang, batch_format="pandas",
                           batch_size=2048)
 
@@ -218,7 +219,7 @@ def token_hll(sf_dir: str, p: int = 10) -> "rd.Dataset":
 
     Output: (register_id, rho) — all 2^p rows, rho 0 = empty register.
     """
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         toks: list[str] = []
@@ -299,8 +300,8 @@ def tfidf_top_terms(sf_dir: str, k: int = 3,
 
     from .util import bucketed_agg, keyed_group_sum
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
 
     def _doc_tokens(text) -> list[str]:
         t = (text or "").strip(_SQL_WS).lower() if isinstance(text, str) else ""
@@ -387,8 +388,8 @@ def _df_table(sf_dir: str, with_stats: bool = False):
     (counts_df, n_docs, n_tokens)."""
     from .util import bucketed_agg, keyed_group_sum
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         dfc: dict[str, int] = {}
@@ -522,8 +523,8 @@ def bm25_topk(sf_dir: str, n_query_terms: int = 3, k: int = 20,
                                  ascending=[False, True])
               .head(n_query_terms))
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
 
     avgdl = float(n_toks) / float(N)
     idf = {t: np.log(1.0 + (N - d + 0.5) / (d + 0.5))
@@ -617,8 +618,8 @@ def corpus_summary(sf_dir: str, round_to: int = 6) -> pd.DataFrame:
     counts, n_nonempty, n_tokens = _df_table(sf_dir, with_stats=True)
     vocab = int(len(counts))
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["text", "lang", "source"])
+    docs = read_table(f"{sf_dir}/documents.parquet",
+                      columns=["text", "lang", "source"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         md5s = [hashlib.md5((t if isinstance(t, str) else "")

@@ -5,10 +5,11 @@ lineage and row-count metrics". Design (SURVEY.md §4):
 
 - output = one Parquet file per partition key, written ATOMICALLY
   (tmp file + os.replace) inside ``groupby(key).map_groups`` tasks;
-- each completed partition appends a manifest row
+- each completed partition gets a manifest row
   ``{partition, rows, path, stage, lineage}`` (lineage = input
-  fingerprint + stage name), collected into ``_MANIFEST.jsonl`` plus a
-  final ``_SUCCESS`` marker;
+  fingerprint + stage name) in ``_MANIFEST.jsonl``, which is committed
+  whole the same way (tmp file + os.replace), plus a final
+  ``_SUCCESS`` marker;
 - resume = load the manifest, drop committed partition keys from the
   input with a vectorized ``map_batches`` filter, run the remainder.
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import uuid
+import warnings
 
 import numpy as np
 import pandas as pd
@@ -86,15 +88,27 @@ def _manifest_path(out_dir: str) -> str:
 
 
 def load_manifest(out_dir: str) -> dict[int, dict]:
-    """partition key → manifest row for committed partitions."""
+    """partition key → manifest row for committed partitions.
+
+    A torn last line (a manifest appended line by line by a job that
+    was killed mid-write) is dropped with a warning: its partition is
+    then not committed, and the resume rewrites it. Any other line that
+    does not parse raises."""
     path = _manifest_path(out_dir)
     if not os.path.exists(path):
         return {}
-    out = {}
     with open(path) as f:
-        for line in f:
+        lines = f.read().splitlines()
+    out = {}
+    for i, line in enumerate(lines):
+        try:
             row = json.loads(line)
-            out[row["partition"]] = row
+        except json.JSONDecodeError:
+            if i < len(lines) - 1:
+                raise
+            warnings.warn(f"{path}: dropping torn last line {line!r}")
+            continue
+        out[row["partition"]] = row
     return out
 
 
@@ -134,13 +148,14 @@ def checkpointed_write(ds, out_dir: str, key: str, stage: str,
     new_rows = ds.groupby(key).map_groups(
         write_partition, batch_format="pandas").to_pandas()
 
-    with open(_manifest_path(out_dir), "a") as f:
-        for r in new_rows.itertuples():
-            f.write(json.dumps({"partition": int(r.partition),
-                                "rows": int(r.rows), "path": r.path,
-                                "stage": stage, "lineage": lineage}) + "\n")
-
-    manifest = load_manifest(out_dir)
+    manifest = committed | {
+        int(r.partition): {"partition": int(r.partition), "rows": int(r.rows),
+                           "path": r.path, "stage": stage, "lineage": lineage}
+        for r in new_rows.itertuples()}
+    tmp = f"{_manifest_path(out_dir)}.tmp-{uuid.uuid4().hex}"
+    with open(tmp, "w") as f:
+        f.writelines(json.dumps(m) + "\n" for _, m in sorted(manifest.items()))
+    os.replace(tmp, _manifest_path(out_dir))  # atomic commit
     with open(os.path.join(out_dir, "_SUCCESS"), "w") as f:
         json.dump({"stage": stage, "partitions": len(manifest),
                    "total_rows": int(sum(m["rows"] for m in manifest.values()))},
@@ -152,6 +167,5 @@ def checkpointed_write(ds, out_dir: str, key: str, stage: str,
 
 def read_checkpointed(out_dir: str):
     """Read a checkpointed output back as a Ray Dataset."""
-    import ray.data as rd
-    manifest = load_manifest(out_dir)
-    return rd.read_parquet([m["path"] for m in manifest.values()])
+    from ..sources import read_table
+    return read_table([m["path"] for m in load_manifest(out_dir).values()])
