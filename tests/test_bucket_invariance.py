@@ -1,16 +1,15 @@
-"""Round-4 verdict item 2: the unbounded-key combine fan-out is now
-cluster-proportional (util.adaptive_num_buckets) instead of fixed 64.
-These tests pin (a) result-invariance of bucketed_agg across
+"""``util.combine``'s bucketed path: (a) results are invariant across
 num_buckets ∈ {2, 64, 1024}, (b) the two-level hierarchical combine on
-skew-oversized buckets, and (c) the helper's clamping rules."""
+skew-oversized buckets is exact and live, and (c) the default fan-out
+grows with the partial-row count."""
 
 import numpy as np
 import pandas as pd
 import pytest
 import ray.data as rd
 
-from whitebox_geospatial_analysis_tools_ray.stages.util import (
-    adaptive_num_buckets, bucketed_agg)
+from whitebox_geospatial_analysis_tools_ray.stages import util
+from whitebox_geospatial_analysis_tools_ray.stages.util import combine
 
 SF_DIR = "/root/testdata/sf0.001"
 
@@ -31,7 +30,7 @@ def _fns():
     """Combine/recombine built as CLOSURES so Ray workers receive them
     by value (module-level test functions pickle by reference, which
     workers cannot import)."""
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
         return (df.groupby("key", sort=False)
                 .agg(total=("val", "sum"), n=("val", "count"))
                 .reset_index().astype({"total": "int64", "n": "int64"}))
@@ -40,7 +39,7 @@ def _fns():
         return (df.groupby("key", sort=False)
                 .agg(total=("total", "sum"), n=("n", "sum"))
                 .reset_index().astype({"total": "int64", "n": "int64"}))
-    return combine, recombine
+    return fold, recombine
 
 
 def _canon(df: pd.DataFrame) -> pd.DataFrame:
@@ -48,47 +47,47 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def test_result_invariance_across_bucket_counts():
-    combine, _ = _fns()
+    fold, _ = _fns()
     outs = {}
     for nb in (2, 64, 1024):
-        outs[nb] = _canon(bucketed_agg(_partials(), ["key"], combine,
-                                       num_buckets=nb).to_pandas())
+        outs[nb] = _canon(combine(_partials(), ["key"], fold,
+                                  num_buckets=nb).to_pandas())
     pd.testing.assert_frame_equal(outs[2], outs[64])
     pd.testing.assert_frame_equal(outs[2], outs[1024])
     assert int(outs[2].loc[outs[2]["key"] == "hotkey", "n"].iloc[0]) > 500
 
 
 def test_hierarchical_combine_matches_single_level():
-    combine, recombine = _fns()
-    flat = _canon(bucketed_agg(_partials(), ["key"], combine,
-                               num_buckets=4).to_pandas())
+    fold, recombine = _fns()
+    flat = _canon(combine(_partials(), ["key"], fold,
+                          num_buckets=4).to_pandas())
     # max_bucket_rows far below the hot bucket size forces the
     # two-level path on every bucket
-    hier = _canon(bucketed_agg(_partials(), ["key"], combine,
-                               num_buckets=4, recombine=recombine,
-                               max_bucket_rows=100).to_pandas())
+    hier = _canon(combine(_partials(), ["key"], fold,
+                          num_buckets=4, recombine=recombine,
+                          max_bucket_rows=100).to_pandas())
     pd.testing.assert_frame_equal(flat, hier)
 
 
 def test_hierarchical_path_engages_and_bounds_slices():
-    """Round-4 verdict item 3: the max_bucket_rows guard must be LIVE,
-    not decorative — the instrumentation actor records every
-    engagement, slice sizes stay bounded (a slice exceeds the cap only
-    when a single key group does), and results are exact."""
+    """The max_bucket_rows guard must be LIVE, not decorative — the
+    instrumentation actor records every engagement, slice sizes stay
+    bounded (a slice exceeds the cap only when a single key group
+    does), and results are exact."""
     import ray
 
     from whitebox_geospatial_analysis_tools_ray.stages.util import (
         hier_counter_actor)
 
-    combine, recombine = _fns()
+    fold, recombine = _fns()
     ctr = hier_counter_actor()
     cap = 100
-    flat = _canon(bucketed_agg(_partials(), ["key"], combine,
-                               num_buckets=4).to_pandas())
-    hier = _canon(bucketed_agg(_partials(), ["key"], combine,
-                               num_buckets=4, recombine=recombine,
-                               max_bucket_rows=cap,
-                               hier_counter=ctr).to_pandas())
+    flat = _canon(combine(_partials(), ["key"], fold,
+                          num_buckets=4).to_pandas())
+    hier = _canon(combine(_partials(), ["key"], fold,
+                          num_buckets=4, recombine=recombine,
+                          max_bucket_rows=cap,
+                          hier_counter=ctr).to_pandas())
     pd.testing.assert_frame_equal(flat, hier)
     events = ray.get(ctr.get.remote())
     assert len(events) >= 1                      # guard actually fired
@@ -110,7 +109,7 @@ def test_hierarchical_summary_combine_exact_under_skew():
     from whitebox_geospatial_analysis_tools_ray.stages.util import (
         hier_counter_actor)
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
         per_key = df.groupby("key", sort=False)["val"].count()
         return pd.DataFrame({
             "n_rows": [int(per_key.sum())],
@@ -128,13 +127,13 @@ def test_hierarchical_summary_combine_exact_under_skew():
                 int(buckets["n_distinct"].sum()),
                 int(buckets["max_group"].max()))
 
-    flat = summarize(bucketed_agg(_partials(), ["key"], combine,
-                                  num_buckets=4).to_pandas())
+    flat = summarize(combine(_partials(), ["key"], fold,
+                             num_buckets=4).to_pandas())
     ctr = hier_counter_actor()
-    hier = summarize(bucketed_agg(_partials(), ["key"], combine,
-                                  num_buckets=4, recombine=recombine,
-                                  max_bucket_rows=100,
-                                  hier_counter=ctr).to_pandas())
+    hier = summarize(combine(_partials(), ["key"], fold,
+                             num_buckets=4, recombine=recombine,
+                             max_bucket_rows=100,
+                             hier_counter=ctr).to_pandas())
     assert flat == hier
     assert len(ray.get(ctr.get.remote())) >= 1
 
@@ -164,16 +163,21 @@ def test_pages_exact_dedup_hierarchical_skew():
     assert len(ray.get(ctr.get.remote())) >= 1
 
 
-def test_default_fanout_is_adaptive():
-    # inside the 4-CPU test session: 4 buckets per CPU, clamped
-    nb = adaptive_num_buckets()
-    import ray
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    assert nb == max(2, min(4096, 4 * cpus))
-    # est_keys bounds the fan-out; clamps hold at both ends
-    assert adaptive_num_buckets(est_keys=3) == max(2, min(3, nb))
-    assert adaptive_num_buckets(est_keys=10**9) == nb
-    assert adaptive_num_buckets(per_cpu=10**6) == 4096
+def test_default_fanout_is_adaptive(monkeypatch):
+    """Above ``COMBINE_TASK_ROWS`` partial rows the default fan-out is
+    max(4·CPUs, ceil(rows / COMBINE_TASK_ROWS)) buckets over
+    min(buckets, input blocks) tasks, read from ``Dataset.stats()``."""
+    import math
+
+    from test_combine import combine_tasks
+
+    fold, _ = _fns()
+    cpus = util.cluster_cpus()
+    monkeypatch.setattr(util, "COMBINE_TASK_ROWS", 50)
+    parts = _partials().repartition(128).materialize()
+    buckets = max(4 * cpus, math.ceil(3000 / 50))
+    assert combine_tasks(combine(parts, ["key"], fold)) == min(buckets, 128)
+    assert min(buckets, 128) >= 4 * cpus
 
 
 def test_exact_dedup_unchanged_under_adaptive_fanout(duck):

@@ -297,11 +297,10 @@ def test_corpus_clean_reason_bits(ray_session, tmp_path):
 
 
 def test_bucketed_agg_equals_plain_groupby(ray_session):
-    """bucketed_agg(sum) over random partials == a pandas groupby sum,
-    for both string and multi-int keys."""
+    """util.combine's bucketed path (sum) over random partials == a
+    pandas groupby sum."""
     import ray.data as rd
-    from whitebox_geospatial_analysis_tools_ray.stages.util import (
-        bucketed_agg)
+    from whitebox_geospatial_analysis_tools_ray.stages.util import combine
     rng = np.random.default_rng(3)
     df = pd.DataFrame({
         "k": [f"key{i}" for i in rng.integers(0, 500, 5000)],
@@ -309,11 +308,11 @@ def test_bucketed_agg_equals_plain_groupby(ray_session):
     want = (df.groupby("k")["v"].sum().reset_index()
             .sort_values("k").reset_index(drop=True))
 
-    def combine(g):
-        a = g.groupby("k", sort=False)["v"].sum().reset_index()
-        return a
+    def fold(g):
+        return g.groupby("k", sort=False)["v"].sum().reset_index()
 
-    got = (bucketed_agg(rd.from_pandas(df).repartition(7), ["k"], combine)
+    got = (combine(rd.from_pandas(df).repartition(7), ["k"], fold,
+                   num_buckets=16)
            .to_pandas().sort_values("k").reset_index(drop=True))
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 

@@ -7,7 +7,8 @@ stages with per-worker state (decoders, classifier) in a fresh process
 with ``num_cpus=1`` under a timeout, and checks each result exactly
 against its DuckDB oracle. A source lint keeps actor pools out of the
 package, so every ``map_batches`` stage stays a plain task; another
-keeps every Parquet read on ``sources.read_table``.
+keeps every Parquet read on ``sources.read_table``, and a third every
+keyed shuffle on ``util.combine``.
 """
 
 import ast
@@ -114,3 +115,30 @@ def test_parquet_reads_go_through_read_table():
     assert not offenders, (
         "read_parquet outside sources/; use sources.read_table:\n"
         + "\n".join(offenders))
+
+
+def test_keyed_shuffles_go_through_combine():
+    """Every keyed reduction and co-group goes through ``util.combine``,
+    which owns the combine fan-out: no ``map_groups`` or ``repartition``
+    call in the package outside ``stages/util.py`` and the per-key writer
+    in ``state/checkpoint.py``, and none of the deleted helper names."""
+    allowed = {PACKAGE / "stages" / "util.py",
+               PACKAGE / "state" / "checkpoint.py"}
+    gone = {"combine_bounded", "coalesce_partials", "adaptive_num_buckets"}
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, (ast.FunctionDef,
+                                                   ast.alias)) else None)
+            if name in gone:
+                offenders.append(f"{path.relative_to(ROOT)}:"
+                                 f"{getattr(node, 'lineno', '?')}: {name}")
+            elif (path not in allowed and isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None)
+                  in ("map_groups", "repartition")):
+                offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}: "
+                                 f"{node.func.attr}")
+    assert not offenders, (
+        "keyed shuffle outside util.combine:\n" + "\n".join(offenders))

@@ -218,4 +218,5 @@ def raster_calculator(datasets: dict, expr: str):
         return pd.DataFrame({"tile_id": [int(g["tile_id"].iloc[0])],
                              "data": [fn(env)]})
 
-    return tagged.groupby("tile_id").map_groups(per_tile, batch_format="pandas")
+    from ..stages.util import combine, groupwise_combine
+    return combine(tagged, "tile_id", groupwise_combine(per_tile, "tile_id"))

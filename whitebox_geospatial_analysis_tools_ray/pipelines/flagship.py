@@ -20,7 +20,7 @@ from ..core.rng import EAST, NORTH, SOUTH, WEST, geocode_xy
 from ..core.tiles import RectGrid
 from ..sources import read_table
 from ..stages.spatial_join import BroadcastPIPJoin, cached_join
-from ..stages.util import combine_bounded
+from ..stages.util import combine
 
 KEYS = ["tile_id", "zone_id"]
 
@@ -60,11 +60,11 @@ def zone_tile_counts(ds: "rd.Dataset", points, tile_width: float,
     if sum_col:
         aggs[sum_col] = ("s", "sum")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def tile_zone_sums(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(KEYS, sort=True).agg(**aggs).reset_index()
         return g.astype({c: "int64" for c in aggs})
 
-    return combine_bounded(ds.map_batches(geo_join, **map_args), combine)
+    return combine(ds.map_batches(geo_join, **map_args), KEYS, tile_zone_sums)
 
 
 def flagship(sf_dir: str, tile_width: float = 250.0) -> "rd.Dataset":

@@ -87,7 +87,7 @@ def import_dem(path: str, tile_rows: int = 64, rows: int | None = None,
     transpose shuffle into row bands."""
     import ray.data as rd
 
-    from ..stages.util import coalesce_partials
+    from ..stages.util import combine, groupwise_combine
 
     hdr = read_dem_header(path, rows)
     R, C = hdr.rows, hdr.cols
@@ -127,6 +127,5 @@ def import_dem(path: str, tile_rows: int = 64, rows: int | None = None,
         return pd.DataFrame({"tile_id": [t], "data": [a.ravel()]})
 
     ds = rd.range(n_col_tasks).map_batches(read_cols, batch_format="numpy")
-    tiles = (coalesce_partials(ds).groupby("tile_id")
-             .map_groups(assemble, batch_format="pandas"))
+    tiles = combine(ds, "tile_id", groupwise_combine(assemble, "tile_id"))
     return hdr, tiles

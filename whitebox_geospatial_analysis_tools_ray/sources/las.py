@@ -28,6 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
+from ..stages.util import combine, groupwise_combine
+
 SCALE = 1.0 / 1024.0
 _PT_FIELDS_0 = [("xi", "<i4"), ("yi", "<i4"), ("zi", "<i4"),
                 ("intensity", "<u2"), ("flags", "u1"),
@@ -219,7 +221,7 @@ _LAS_WRITER_VERSION = "v3"  # bump when the synthesis rule changes
 def _content_tag(sf_dir: str) -> str:
     """md5 over the documents.parquet BYTES + writer version — so a
     regenerated table at the same path never reuses a stale fixture
-    (the round-1 driver-red cause: a path-keyed cache)."""
+    (a path-keyed cache once served a stale table)."""
     import hashlib
     import os
 
@@ -309,7 +311,6 @@ def las_rgb_stats(sf_dir: str):
             sb=("b", "sum"), sgq=("gq", "sum"))
         return g.reset_index()
 
-    from ..stages.util import coalesce_partials
     parts = ds.map_batches(partial, batch_format="numpy")
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
@@ -321,8 +322,8 @@ def las_rgb_stats(sf_dir: str):
             "sum_blue": [int(df["sb"].sum())],
             "sum_gps_q": [int(df["sgq"].sum())]})
 
-    return (coalesce_partials(parts).groupby("classification")
-            .map_groups(final, batch_format="pandas")
+    return (combine(parts, "classification",
+                    groupwise_combine(final, "classification"))
             .sort("classification"))
 
 
@@ -346,8 +347,8 @@ def las_tile_stats(sf_dir: str):
     ``sum_z`` is INTEGER-EXACT: z values are exact multiples of 2⁻¹⁰,
     so each partial sums the re-quantized int64 ``z·1024`` and the
     final divides the integer total by 1024 once — no rounding rule to
-    disagree about between Python and DuckDB (the round-1 red row was a
-    banker's-vs-half-away divergence on dyadic ties)."""
+    disagree about between Python and DuckDB (a banker's-vs-half-away
+    divergence on dyadic ties once broke the oracle match)."""
     ds = read_las(synth_las_path(sf_dir))
 
     def partial(batch) -> pd.DataFrame:
@@ -364,7 +365,6 @@ def las_tile_stats(sf_dir: str):
                                       szq=("zq", "sum"))
         return g.reset_index()
 
-    from ..stages.util import coalesce_partials
     parts = ds.map_batches(partial, batch_format="numpy")
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
@@ -374,8 +374,8 @@ def las_tile_stats(sf_dir: str):
             "sum_intensity": [int(df["si"].sum())],
             "sum_z": [float(int(df["szq"].sum()) / 1024.0)]})
 
-    return (coalesce_partials(parts).groupby("tile_id")
-            .map_groups(final, batch_format="pandas").sort("tile_id"))
+    return combine(parts, "tile_id",
+                   groupwise_combine(final, "tile_id")).sort("tile_id")
 
 
 def las_tile_stats_sql() -> str:
@@ -494,12 +494,12 @@ def lidar_nn_interpolation(sf_dir: str, resolution: float = 100.0,
     maxDist², else NoData (first minimum = lowest record index on
     ties). Exact SQL oracle.
 
-    Distributed plan (round 2 — was a broadcast-all-points dense
-    matrix): the neighbour-cell DUPLICATION shuffle from
+    Distributed plan (replaces a broadcast-all-points dense matrix):
+    the neighbour-cell DUPLICATION shuffle from
     ``stages/knn.py:40`` — LAS points stream through the byte-range
     chunk source and are emitted to every ``max_dist``-pitch grid cell
     whose expanded box contains them; raster query cells are keyed by
-    their one grid cell; ``groupby(cell).map_groups`` refines each
+    their one grid cell; ``util.combine`` keyed on the cell refines each
     group with a bounded (local-cells × local-points) matrix. No
     point-cloud driver materialization anywhere. The per-row reduce is
     a bounded-key partial+final combine (z values are exact dyadic
@@ -508,7 +508,6 @@ def lidar_nn_interpolation(sf_dir: str, resolution: float = 100.0,
 
     import ray.data as rd
 
-    from ..stages.util import coalesce_partials
 
     NODATA = -32768.0
     pts_ds = read_las(synth_las_path(sf_dir), with_index=True)
@@ -598,9 +597,8 @@ def lidar_nn_interpolation(sf_dir: str, resolution: float = 100.0,
                             "rs": np.where(ok, vals, 0.0)})
         return out.groupby("row_id", as_index=False).sum()
 
-    both = coalesce_partials(cells.union(pts_dup))
-    parts = both.groupby("gkey").map_groups(per_cell_group,
-                                            batch_format="pandas")
+    parts = combine(cells.union(pts_dup), "gkey",
+                    groupwise_combine(per_cell_group, "gkey"))
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -608,8 +606,7 @@ def lidar_nn_interpolation(sf_dir: str, resolution: float = 100.0,
             "n_valid": [int(df["nv"].sum())],
             "row_sum": [round(float(df["rs"].sum()), round_to)]})
 
-    return (coalesce_partials(parts).groupby("row_id")
-            .map_groups(final, batch_format="pandas")
+    return (combine(parts, "row_id", groupwise_combine(final, "row_id"))
             .to_pandas().sort_values("row_id").reset_index(drop=True))
 
 
@@ -741,11 +738,8 @@ def isolate_ground_points(sf_dir: str, max_dist: float = 600.0,
             "za": qs["z"].to_numpy()[ai],
             "zb": ps["z"].to_numpy()[bi]})
 
-    from ..stages.util import coalesce_partials
-    pairs = (coalesce_partials(
-        pts_ds.map_batches(emit, batch_format="pandas"))
-        .groupby("gkey").map_groups(per_cell, batch_format="pandas")
-        .to_pandas())
+    pairs = combine(pts_ds.map_batches(emit, batch_format="pandas"),
+                    "gkey", groupwise_combine(per_cell, "gkey")).to_pandas()
 
     # n_points from the header, n_centres from a tiny partial count —
     # the point cloud itself never materializes on the driver
@@ -1074,9 +1068,9 @@ def lidar_canopy_model(sf_dir: str, resolution: float = 250.0,
     substitution rule as the repo's other KdTree-order cases — and the
     mirror test uses the identical order.
 
-    Distributed shape (round 2 — was a broadcast-all-points dense
-    scan): the neighbour-cell duplication shuffle (``stages/knn.py``
-    plan, pitch = the √2·res/2 radius); each ``groupby`` group
+    Distributed shape (replaces a broadcast-all-points dense scan):
+    the neighbour-cell duplication shuffle (``stages/knn.py``
+    plan, pitch = the √2·res/2 radius); each ``util.combine`` group
     extracts its cells' compact candidate lists — (d², point index)
     ascending, candidate x/y/z travelling WITH the row so the replay
     needs no global arrays — then a driver replay of the literal
@@ -1087,7 +1081,6 @@ def lidar_canopy_model(sf_dir: str, resolution: float = 250.0,
 
     import ray.data as rd
 
-    from ..stages.util import coalesce_partials
 
     NODATA = -32768.0
     pts_ds = read_las(synth_las_path(sf_dir), with_index=True)
@@ -1184,11 +1177,9 @@ def lidar_canopy_model(sf_dir: str, resolution: float = 250.0,
              "cy": pd.Series([], dtype=object),
              "cz": pd.Series([], dtype=object)})
 
-    both = coalesce_partials(
-        cells.union(pts_ds.map_batches(duplicate, batch_format="numpy")))
-    cand = (both.groupby("gkey")
-            .map_groups(per_cell_group, batch_format="pandas")
-            .to_pandas())
+    cand = combine(
+        cells.union(pts_ds.map_batches(duplicate, batch_format="numpy")),
+        "gkey", groupwise_combine(per_cell_group, "gkey")).to_pandas()
     cand = (cand.sort_values("cell") if len(cand)
             else pd.DataFrame({"cell": pd.Series([], dtype="int64")}))
 
@@ -1328,11 +1319,8 @@ def lidar_segmentation_weights(sf_dir: str, search_dist: float = 300.0,
                              "mda": np.round(mda, round_to),
                              "w": np.round(w, round_to)})
 
-    from ..stages.util import coalesce_partials
-    out = (coalesce_partials(
-        pts_ds.map_batches(emit, batch_format="pandas"))
-        .groupby("gkey").map_groups(per_cell, batch_format="pandas")
-        .to_pandas())
+    out = combine(pts_ds.map_batches(emit, batch_format="pandas"),
+                  "gkey", groupwise_combine(per_cell, "gkey")).to_pandas()
     if len(out) == 0:       # empty cloud -> typed empty weights
         return pd.DataFrame({"rec_id": pd.Series([], dtype="int64"),
                              "mda": pd.Series([], dtype="float64"),
@@ -1400,7 +1388,6 @@ def lidar_bare_earth_dem(sf_dir: str, resolution: float = 250.0,
 
     import ray.data as rd
 
-    from ..stages.util import coalesce_partials
 
     NODATA = -32768.0
     pts_ds = read_las(synth_las_path(sf_dir), with_index=True)
@@ -1497,11 +1484,9 @@ def lidar_bare_earth_dem(sf_dir: str, resolution: float = 250.0,
             {c: pd.Series([], dtype="int64" if c == "cell" else object)
              for c in cols})
 
-    both = coalesce_partials(
-        cells.union(pts_ds.map_batches(duplicate, batch_format="numpy")))
-    cand = (both.groupby("gkey")
-            .map_groups(per_cell_group, batch_format="pandas")
-            .to_pandas())
+    cand = combine(
+        cells.union(pts_ds.map_batches(duplicate, batch_format="numpy")),
+        "gkey", groupwise_combine(per_cell_group, "gkey")).to_pandas()
     cand = (cand.sort_values("cell") if len(cand)
             else pd.DataFrame({"cell": pd.Series([], dtype="int64")}))
 

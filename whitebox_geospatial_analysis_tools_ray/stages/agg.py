@@ -13,8 +13,8 @@ Reference semantics:
   (``:351 sqrt(totalDeviation/(n-1))``) / total.
 
 Physical plan: per-batch partial aggregation inside ``map_batches``
-(one row per key per batch) → ``groupby(key)`` over the partials →
-tiny ``map_groups`` final combine. The shuffle moves O(keys × blocks)
+(one row per key per batch) → ``util.combine`` keyed on the group
+column for the final per-key fold. The shuffle moves O(keys × blocks)
 rows — the 100 TB-safe partial+final pattern (SURVEY.md §2.5).
 """
 
@@ -26,6 +26,7 @@ import ray.data as rd
 
 from ..core.tiles import RectGrid
 from ..sources import read_table
+from .util import combine, groupwise_combine
 
 
 def cell_aggregates(points: "rd.Dataset", grid: RectGrid,
@@ -67,8 +68,7 @@ def cell_aggregates(points: "rd.Dataset", grid: RectGrid,
             "last_z": [float(g.loc[i_last, "last_z"])],
         })
 
-    from .util import combine_bounded, groupwise_combine
-    return combine_bounded(partials, groupwise_combine(final, "tile_id"))
+    return combine(partials, "tile_id", groupwise_combine(final, "tile_id"))
 
 
 def zonal_stats(sf_dir: str, round_to: int = 6) -> "rd.Dataset":
@@ -106,8 +106,7 @@ def zonal_stats(sf_dir: str, round_to: int = 6) -> "rd.Dataset":
             "std_z": [round(float(np.sqrt(var)), round_to)],
         })
 
-    from .util import combine_bounded, groupwise_combine
-    return combine_bounded(partials, groupwise_combine(final, "lang"))
+    return combine(partials, "lang", groupwise_combine(final, "lang"))
 
 
 def value_histogram(sf_dir: str, nbins: int = 20) -> "rd.Dataset":
@@ -137,10 +136,9 @@ def value_histogram(sf_dir: str, nbins: int = 20) -> "rd.Dataset":
 
     partials = ds.map_batches(partial, batch_format="numpy")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def bin_counts(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("bin_id", sort=True)["c"].sum().reset_index()
         return g.rename(columns={"c": "bin_count"}).astype(
             {"bin_count": "int64"})
 
-    from .util import combine_bounded
-    return combine_bounded(partials, combine)
+    return combine(partials, "bin_id", bin_counts)

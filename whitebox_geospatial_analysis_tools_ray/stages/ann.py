@@ -21,7 +21,18 @@ import pandas as pd
 import ray
 
 from ..sources import read_table
-from .util import coalesce_partials
+from .util import combine
+
+
+def _top_cosine(partials, k: int):
+    """Global top-k (cosine desc, vec_id asc) over per-batch top-k rows,
+    in one combine task."""
+    def top(df: pd.DataFrame) -> pd.DataFrame:
+        return (df.sort_values(["cosine", "vec_id"], ascending=[False, True],
+                               kind="stable")
+                .head(k).reset_index(drop=True))
+
+    return combine(partials, (), top)
 
 
 def _batch_matrix(batch) -> tuple[np.ndarray, np.ndarray]:
@@ -116,8 +127,7 @@ def cosine_topk(sf_dir: str, k: int = 20, query_vec_id: int = 0,
         return pd.DataFrame({"vec_id": ids[order], "cosine": cos[order]})
 
     partials = ds.map_batches(partial, batch_format="numpy")
-    top = coalesce_partials(partials).sort(
-        ["cosine", "vec_id"], descending=[True, False]).limit(k)
+    top = _top_cosine(partials, k)
     return top
 
 
@@ -160,12 +170,12 @@ def knn_join_topk(sf_dir: str, n_queries: int = 10, k: int = 3,
     partials = ds.map_batches(partial, batch_format="numpy")
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", "vec_id"], ascending=[False, True],
-                          kind="stable").head(k)
-        return g[["query_id", "vec_id", "cosine"]]
+        g = g.sort_values(["query_id", "cosine", "vec_id"],
+                          ascending=[True, False, True], kind="stable")
+        return g.groupby("query_id", sort=False).head(k)[
+            ["query_id", "vec_id", "cosine"]]
 
-    return coalesce_partials(partials).groupby("query_id").map_groups(
-        final, batch_format="pandas")
+    return combine(partials, "query_id", final)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +232,7 @@ def ivf_topk(sf_dir: str, k: int = 20, query_vec_id: int = 0,
         return pd.DataFrame({"vec_id": ids_m[order], "cosine": cos[order]})
 
     partials = ds.map_batches(partial, batch_format="numpy")
-    return coalesce_partials(partials).sort(
-        ["cosine", "vec_id"], descending=[True, False]).limit(k)
+    return _top_cosine(partials, k)
 
 
 def ivf_train_centroids(sf_dir: str, n_lists: int = 16, iters: int = 8,
@@ -280,8 +289,7 @@ def ivf_train_centroids(sf_dir: str, n_lists: int = 16, iters: int = 8,
                 "n": cnt,
                 "sx": [row.tobytes() for row in sums]})
 
-        parts = coalesce_partials(
-            ds.map_batches(partial, batch_format="numpy")).to_pandas()
+        parts = ds.map_batches(partial, batch_format="numpy").to_pandas()
         new = cent.copy()
         for c, g in parts.groupby("c"):
             if g["n"].sum() > 0:
@@ -335,8 +343,7 @@ def ivf_topk_trained(sf_dir: str, k: int = 20, query_vec_id: int = 0,
         return pd.DataFrame({"vec_id": ids_m[order], "cosine": cos[order]})
 
     partials = ds.map_batches(partial, batch_format="numpy")
-    return coalesce_partials(partials).sort(
-        ["cosine", "vec_id"], descending=[True, False]).limit(k)
+    return _top_cosine(partials, k)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +446,4 @@ def ivf_topk_persisted(sf_dir: str, k: int = 20, query_vec_id: int = 0,
         return pd.DataFrame({"vec_id": ids[order], "cosine": cos[order]})
 
     partials = ds.map_batches(partial, batch_format="numpy")
-    out = (coalesce_partials(partials)
-           .sort(["cosine", "vec_id"], descending=[True, False]).limit(k)
-           .to_pandas())
-    return out
+    return _top_cosine(partials, k).to_pandas()

@@ -30,7 +30,7 @@ from ray.data.aggregate import Sum
 
 from ..sources import read_table
 from .dedup import ngram_jaccard_pairs
-from .util import coalesce_partials
+from .util import combine, groupwise_combine, keyed_group_sum
 
 from .util import SQL_WS, sql_ws_re
 _TOKEN_RE = sql_ws_re()
@@ -44,41 +44,26 @@ def _tokens(text: str) -> list[str]:
 
 
 def _bucketed_topk(partials: "rd.Dataset", key: str, val: str,
-                   k: int, num_buckets: int | None = None) -> pd.DataFrame:
+                   k: int) -> pd.DataFrame:
     """Top-k (val desc, key asc) over per-batch (key, val) count partials.
 
-    Ray's ``groupby(str_key).aggregate`` pays per-group Python overhead
-    (~1 ms/group — measured 24 s for 25k ngram groups), so the combine
-    runs as a BOUNDED-bucket ``map_groups`` with a vectorized pandas
-    sum inside, the plan the pair-dedup kernels already use. Each
-    bucket emits only its own top-k (global top-k ⊆ union of
-    per-bucket top-k — every key lives in exactly one bucket), so the
-    final sort sees ≤ num_buckets × k rows regardless of key
+    ``util.combine`` keyed on ``key`` runs a vectorized pandas sum per
+    call (Ray's per-group machinery costs ~1 ms/group — measured 24 s
+    for 25k ngram groups). Each call emits only its own top-k (global
+    top-k ⊆ union of per-call top-k — every key lives in exactly one
+    call), so the final sort sees ≤ calls × k rows regardless of key
     cardinality.
     """
-    from .util import adaptive_num_buckets
-    if num_buckets is None:
-        num_buckets = adaptive_num_buckets()
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        crc = np.fromiter(
-            (zlib.crc32(s.encode("utf-8")) for s in b[key]),
-            dtype=np.int64, count=len(b))
-        return b.assign(bucket=crc % num_buckets)
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
+    def topk(g: pd.DataFrame) -> pd.DataFrame:
         # NUL-safe group-sum, then sort/emit the raw key
         # (python-object comparisons and Arrow sorts are NUL-safe)
-        from .util import keyed_group_sum
         agg = keyed_group_sum(g, [key], [val])
         agg = agg.sort_values([val, key],
                               ascending=[False, True]).head(k)
         return pd.DataFrame({key: agg[key].astype(str),
                              val: agg[val].to_numpy(dtype=np.int64)})
 
-    top = (coalesce_partials(partials.map_batches(add_bucket,
-                                                  batch_format="pandas"))
-           .groupby("bucket").map_groups(combine, batch_format="pandas")
+    top = (combine(partials, key, topk)
            .sort([val, key], descending=[True, False]).limit(k))
     return top.to_pandas()
 
@@ -94,12 +79,12 @@ def dup_clusters(sf_dir: str, threshold: float = 0.5,
     doc_id in the component (the survivor a dedup pass would keep).
 
     Plan (hash-to-min label propagation, all Ray Data):
-      1. pairs = ``ngram_jaccard_pairs`` (bounded-bucket shuffles).
+      1. pairs = ``ngram_jaccard_pairs`` (keyed combines).
       2. labels init: node → node, derived from the edge endpoints.
-      3. Each round: one groupby(node) joins the node's current label
-         to its incident edges (union of label rows and edge rows →
-         ``map_groups`` per node emits (nbr, my_label) messages plus
-         the self row), then a groupby(node).min picks the new label.
+      3. Each round: one ``util.combine`` keyed on node joins the
+         node's current label to its incident edges (union of label
+         rows and edge rows → (nbr, my_label) messages plus the self
+         row), then a second one takes the min label per node.
          Converges in O(log diameter) rounds; dup components in web
          corpora are tiny chains, so 3-4 rounds typical.
       4. Convergence check reads ONE scalar per round (sum of labels)
@@ -136,23 +121,17 @@ def cluster_pairs(pairs: "rd.Dataset", max_rounds: int = 32,
     the shared kernel behind ``dup_clusters`` / ``embedding_dup_clusters``
     (see ``dup_clusters`` for the plan). ``driver_max_edges`` overrides
     the size-adaptive cutoff (0 forces the distributed rounds)."""
-    from .util import adaptive_num_buckets
-    NB = adaptive_num_buckets()
     cutoff = (_DRIVER_CLUSTER_MAX_EDGES if driver_max_edges is None
               else driver_max_edges)
 
-    def _nb(nodes: np.ndarray) -> np.ndarray:
-        # stable node bucket (nodes are unbounded — the repo's
-        # bounded-bucket rule); attached INLINE in every producer so
-        # the per-round loop is exactly two sorts, no extra stages
-        return (nodes * 2654435761 % NB).astype(np.int64)
-
+    # every row carries the node it is routed to ("dest"); each round is
+    # two util.combine calls keyed on it
     def to_edges(b: pd.DataFrame) -> pd.DataFrame:
         a = b["doc_a"].to_numpy(dtype=np.int64)
         c = b["doc_b"].to_numpy(dtype=np.int64)
         # both directions so each node sees all neighbours in its group
         node = np.concatenate([a, c])
-        return pd.DataFrame({"bucket": _nb(node), "node": node,
+        return pd.DataFrame({"dest": node, "node": node,
                              "peer": np.concatenate([c, a]),
                              "lbl": np.full(2 * len(b), -1, dtype=np.int64)})
 
@@ -190,7 +169,7 @@ def cluster_pairs(pairs: "rd.Dataset", max_rounds: int = 32,
 
     def init_labels(b: pd.DataFrame) -> pd.DataFrame:
         n = b["node"].unique().astype(np.int64)
-        return pd.DataFrame({"bucket": _nb(n), "node": n,
+        return pd.DataFrame({"dest": n, "node": n,
                              "peer": np.full(len(n), -1, dtype=np.int64),
                              "lbl": n})
 
@@ -198,8 +177,8 @@ def cluster_pairs(pairs: "rd.Dataset", max_rounds: int = 32,
     labels = edges.map_batches(init_labels, batch_format="pandas")
 
     def propagate(g: pd.DataFrame) -> pd.DataFrame:
-        # per bucket of nodes: close the INTRA-bucket structure with a
-        # local union-find first (collapses whole in-bucket chains in
+        # per group of dest nodes: close the INTRA-group structure with a
+        # local union-find first (collapses whole in-group chains in
         # one round — the per-partition contraction that cuts
         # hash-to-min's round count), then emit each edge target the
         # source's group-min label + the self rows. Any propagation
@@ -223,7 +202,7 @@ def cluster_pairs(pairs: "rd.Dataset", max_rounds: int = 32,
         # pointer doubling: a label value is always a node id inside the
         # same component (labels start as self and only ever adopt
         # component minima), so unioning node<->label treats every label
-        # learned in earlier rounds as a shortcut edge — long cross-bucket
+        # learned in earlier rounds as a shortcut edge — long cross-group
         # chains collapse in O(log diameter) rounds instead of O(diameter)
         for n, l in lab.items():
             if int(n) != int(l):
@@ -240,7 +219,7 @@ def cluster_pairs(pairs: "rd.Dataset", max_rounds: int = 32,
             gmin[r] = min(gmin.get(r, x), x)
         # message targets: edge peers, the nodes themselves, AND the
         # label ids (the (label -> node) messages of hash-to-min): the
-        # label's own bucket learns the group min next round, which is
+        # label's own group learns the group min next round, which is
         # what makes the node<->label shortcut edges above effective
         node = np.concatenate([ed["peer"].to_numpy(dtype=np.int64),
                                lab.index.to_numpy(dtype=np.int64),
@@ -253,7 +232,7 @@ def cluster_pairs(pairs: "rd.Dataset", max_rounds: int = 32,
             np.fromiter((gmin[find(int(x))] for x in lab.to_numpy()),
                         dtype=np.int64, count=len(lab))])
         return pd.DataFrame({
-            "bucket": _nb(node), "node": node,
+            "dest": node, "node": node,
             "peer": np.full(len(node), -1, dtype=np.int64),
             "lbl": lbl})
 
@@ -261,13 +240,13 @@ def cluster_pairs(pairs: "rd.Dataset", max_rounds: int = 32,
         a = g.groupby("node", sort=False)["lbl"].min().reset_index()
         n = a["node"].to_numpy(dtype=np.int64)
         l = a["lbl"].to_numpy(dtype=np.int64)
-        # each node's label row goes to BOTH the node's bucket and the
-        # LABEL's bucket: in the label's bucket, propagate unions
+        # each node's label row goes to BOTH the node and the LABEL:
+        # in the label's group, propagate unions
         # node<->label next to the label's own self-row, so the node
         # learns lbl(lbl) in one round — lbl_i <- lbl(lbl_i) is the
         # pointer-doubling step that makes rounds O(log diameter)
         return pd.DataFrame({
-            "bucket": np.concatenate([_nb(n), _nb(l)]),
+            "dest": np.concatenate([n, l]),
             "node": np.concatenate([n, n]),
             "peer": np.full(2 * len(n), -1, dtype=np.int64),
             "lbl": np.concatenate([l, l])})
@@ -280,11 +259,8 @@ def cluster_pairs(pairs: "rd.Dataset", max_rounds: int = 32,
     # silently-wrong cluster ids.
     prev_sig, converged = None, False
     for _ in range(max_rounds):
-        msgs = (labels.union(edges).groupby("bucket")
-                .map_groups(propagate, batch_format="pandas"))
-        new_labels = (msgs.groupby("bucket")
-                      .map_groups(min_label, batch_format="pandas")
-                      .materialize())
+        msgs = combine(labels.union(edges), "dest", propagate)
+        new_labels = combine(msgs, "dest", min_label).materialize()
         sig = new_labels.aggregate(Sum("lbl", alias_name="s"))["s"]
         labels = new_labels
         if sig == prev_sig:
@@ -298,7 +274,7 @@ def cluster_pairs(pairs: "rd.Dataset", max_rounds: int = 32,
             f"need O(log diameter) — this indicates a bug, not big data)")
 
     out = labels.select_columns(["node", "lbl"]).to_pandas()  # bounded: dup nodes only
-    # min_label emits each node's row to two buckets; collapse to one
+    # min_label emits each node's row to two dests; collapse to one
     out = out.groupby("node", sort=False)["lbl"].min().reset_index()
     out = out.rename(columns={"node": "doc_id", "lbl": "cluster_id"})
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -450,8 +426,8 @@ def stratified_sample(sf_dir: str, per_lang: int = 20) -> pd.DataFrame:
     uniform draw per stratum (md5 of the id is a uniform permutation).
 
     Plan: per-batch partial top-n per lang (nsmallest — only
-    per_lang × langs rows leave each batch) → groupby(lang)
-    ``map_groups`` final top-n. The shuffle carries O(langs × blocks ×
+    per_lang × langs rows leave each batch) → ``util.combine`` keyed
+    on lang, final top-n per lang. The shuffle carries O(langs × blocks ×
     per_lang) rows regardless of corpus size.
 
     Output: (lang, doc_id, sample_rank), rank 1..per_lang by md5 order.
@@ -477,8 +453,8 @@ def stratified_sample(sf_dir: str, per_lang: int = 20) -> pd.DataFrame:
                                  np.arange(1, len(g) + 1, dtype=np.int64)})
 
     partials = docs.map_batches(partial, batch_format="pandas")
-    out = (coalesce_partials(partials).groupby("lang")
-           .map_groups(final, batch_format="pandas")).to_pandas()
+    out = combine(partials, "lang",
+                  groupwise_combine(final, "lang")).to_pandas()
     if len(out) == 0:       # empty corpus → typed empty sample
         return pd.DataFrame({"lang": pd.Series([], dtype="object"),
                              "doc_id": pd.Series([], dtype="int64"),
@@ -502,10 +478,10 @@ def pack_sequences(sf_dir: str, seq_len: int = 512,
       1. per-bucket token totals (bucket = doc_id // docs_per_bucket —
          one partial row per bucket per block) → driver cumsum of the
          COMPACT bucket-total vector → broadcast base offsets.
-      2. ``groupby(bucket).map_groups``: each bucket sorts its docs,
+      2. ``util.combine`` keyed on bucket: each bucket sorts its docs,
          local cumsum + base offset gives exact per-doc offsets, then
          emits one (seq_id, tokens_in_seq) row per overlapped sequence.
-      3. bounded-bucket combine on seq_id % NB.
+      3. ``util.combine`` keyed on seq_id.
     Nothing unbounded ever lands on the driver: the pass-1 vector is
     O(n_docs / docs_per_bucket) — size docs_per_bucket so that stays
     in driver memory (at 10¹²-doc scale, nest the same two-pass scheme
@@ -516,8 +492,6 @@ def pack_sequences(sf_dir: str, seq_len: int = 512,
     """
     import ray
 
-    from .util import adaptive_num_buckets
-    NB = adaptive_num_buckets()
     docs = read_table(f"{sf_dir}/documents.parquet",
                       columns=["doc_id", "text"])
 
@@ -562,22 +536,19 @@ def pack_sequences(sf_dir: str, seq_len: int = 512,
                 toks.append(min(o + c, (s + 1) * seq_len)
                             - max(o, s * seq_len))
         return pd.DataFrame({
-            "sbucket": np.asarray(seqs, dtype=np.int64) % NB,
             "seq_id": np.asarray(seqs, dtype=np.int64),
             "tok": np.asarray(toks, dtype=np.int64)})
 
-    spanned = (coalesce_partials(per_doc).groupby("bucket")
-               .map_groups(spans, batch_format="pandas"))
+    spanned = combine(per_doc, "bucket", groupwise_combine(spans, "bucket"))
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
+    def per_seq(g: pd.DataFrame) -> pd.DataFrame:
         agg = (g.groupby("seq_id", sort=False)["tok"]
                .agg(n_docs="size", n_tokens="sum").reset_index())
         return pd.DataFrame({"seq_id": agg["seq_id"].astype(np.int64),
                              "n_docs": agg["n_docs"].astype(np.int64),
                              "n_tokens": agg["n_tokens"].astype(np.int64)})
 
-    out = (coalesce_partials(spanned).groupby("sbucket")
-           .map_groups(combine, batch_format="pandas").to_pandas())
+    out = combine(spanned, "seq_id", per_seq).to_pandas()
     return out.sort_values("seq_id").reset_index(drop=True)
 
 
@@ -685,8 +656,6 @@ def corpus_clean(sf_dir: str, min_tokens: int = 20,
     """
     import ray
 
-    from .util import bucketed_agg
-
     docs = read_table(f"{sf_dir}/documents.parquet",
                       columns=["doc_id", "text"])
 
@@ -736,7 +705,7 @@ def corpus_clean(sf_dir: str, min_tokens: int = 20,
 
     partials = docs.map_batches(scan, batch_format="pandas")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
         surv = df.groupby("text_md5", sort=False)["doc_id"] \
                  .transform("min")
         reason = df["reason"].to_numpy().copy()
@@ -746,7 +715,7 @@ def corpus_clean(sf_dir: str, min_tokens: int = 20,
             "keep": (reason == 0).astype(np.int64),
             "reason": reason.astype(np.int64)})
 
-    return bucketed_agg(partials, ["text_md5"], combine)
+    return combine(partials, "text_md5", fold)
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +739,9 @@ def duplicate_spans(sf_dir: str, k: int = 5) -> "rd.Dataset":
          per-window Python string building. The gram travels as that
          128-bit double hash (collision odds ~n²/2¹²⁸, the same
          accept-rule as the md5 dedup keys), never as the string;
-      2. ``bucketed_agg`` by gram hash: per gram, total corpus count +
+      2. ``util.combine`` by gram hash: per gram, total corpus count +
          first holder doc; re-emits per-doc contribution rows;
-      3. ``bucketed_agg`` by doc_id: per-doc sums.
+      3. ``util.combine`` by doc_id: per-doc sums.
     Wire rows are fixed-width ints throughout — at 100 TB the shuffle
     volume is O(distinct (gram, doc) pairs × 32 B), not O(text).
 
@@ -780,8 +749,6 @@ def duplicate_spans(sf_dir: str, k: int = 5) -> "rd.Dataset":
     docs with >= 1 window (ntok >= k); n_first_copies counts the
     duplicated grams whose corpus-first holder is this doc.
     """
-    from .util import bucketed_agg
-
     docs = read_table(f"{sf_dir}/documents.parquet",
                       columns=["doc_id", "text"])
 
@@ -863,7 +830,7 @@ def duplicate_spans(sf_dir: str, k: int = 5) -> "rd.Dataset":
             "f": (dup & (a["doc_id"].to_numpy()
                          == first.to_numpy())).astype(np.int64)})
 
-    per_doc = bucketed_agg(partials, ["h1", "h2"], gram_combine)
+    per_doc = combine(partials, ["h1", "h2"], gram_combine)
 
     def doc_combine(df: pd.DataFrame) -> pd.DataFrame:
         return (df.groupby("doc_id", sort=False)
@@ -873,7 +840,7 @@ def duplicate_spans(sf_dir: str, k: int = 5) -> "rd.Dataset":
                 .astype({"n_windows": "int64", "n_dup_windows": "int64",
                          "n_first_copies": "int64"}))
 
-    return bucketed_agg(per_doc, ["doc_id"], doc_combine)
+    return combine(per_doc, ["doc_id"], doc_combine)
 
 
 # ---------------------------------------------------------------------------
@@ -911,8 +878,6 @@ def lm_perplexity(sf_dir: str, round_to: int = 6,
     """
     import ray
 
-    from .util import bucketed_agg
-
     cols = ["doc_id", "text"] + (["lang"] if _with_lang else [])
     docs = read_table(f"{sf_dir}/documents.parquet", columns=cols)
 
@@ -941,11 +906,10 @@ def lm_perplexity(sf_dir: str, round_to: int = 6,
                                    vb.to_numpy(dtype=np.int64)])})
 
     def count_combine(df: pd.DataFrame) -> pd.DataFrame:
-        from .util import keyed_group_sum
         return keyed_group_sum(df, ["key", "is_big"], ["cnt"]) \
             .astype({"cnt": "int64"})
 
-    counts = bucketed_agg(
+    counts = combine(
         docs.map_batches(count_partial, batch_format="pandas"),
         ["key", "is_big"], count_combine).to_pandas()  # bounded: model
     if counts.empty:        # 0-token corpus → schema-less empty frame
@@ -1035,8 +999,6 @@ def perplexity_buckets(sf_dir: str, round_to: int = 6) -> pd.DataFrame:
     """
     import ray
 
-    from .util import bucketed_agg
-
     # materialize: the per-doc score table (1 row/doc, metadata-sized
     # next to the corpus) is consumed TWICE (histogram pass + assign
     # pass) — without this the whole read+score pipeline re-executes
@@ -1050,9 +1012,8 @@ def perplexity_buckets(sf_dir: str, round_to: int = 6) -> pd.DataFrame:
         return (df.groupby(["lang", "nll"], sort=False)["c"]
                 .sum().reset_index().astype({"c": "int64"}))
 
-    hist = bucketed_agg(scores.map_batches(hist_partial,
-                                           batch_format="pandas"),
-                        ["lang", "nll"], hist_combine).to_pandas()
+    hist = combine(scores.map_batches(hist_partial, batch_format="pandas"),
+                   ["lang", "nll"], hist_combine).to_pandas()
     out_cols = {"lang": pd.Series([], dtype="object"),
                 "bucket": pd.Series([], dtype="object"),
                 "n_docs": pd.Series([], dtype="int64"),
@@ -1091,10 +1052,8 @@ def perplexity_buckets(sf_dir: str, round_to: int = 6) -> pd.DataFrame:
             "n_docs": g["n_docs"].astype(np.int64),
             "avg_nll": np.round(g["s"] / g["n_docs"], round_to)})
 
-    from .util import combine_bounded
-    res = combine_bounded(
-        scores.map_batches(assign, batch_format="pandas"),
-        final).to_pandas()
+    res = combine(scores.map_batches(assign, batch_format="pandas"),
+                  ["lang", "bucket"], final).to_pandas()
     return res if not res.empty else pd.DataFrame(out_cols)
 
 
@@ -1106,8 +1065,6 @@ def _bpe_word_counts(sf_dir: str) -> pd.DataFrame:
     """Distributed word-count pass (the only corpus-sized stage of BPE
     training): per-batch value_counts partials → bucketed combine.
     Returns the full (token, cnt) table."""
-    from .util import bucketed_agg
-
     docs = read_table(f"{sf_dir}/documents.parquet", columns=["text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1118,13 +1075,12 @@ def _bpe_word_counts(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"token": vc.index.to_numpy(dtype=object),
                              "cnt": vc.to_numpy(dtype=np.int64)})
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        from .util import keyed_group_sum
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
         return keyed_group_sum(df, ["token"], ["cnt"]) \
             .astype({"cnt": "int64"})
 
-    out = bucketed_agg(docs.map_batches(partial, batch_format="pandas"),
-                       ["token"], combine).to_pandas()
+    out = combine(docs.map_batches(partial, batch_format="pandas"),
+                  "token", fold).to_pandas()
     if out.empty:
         out = pd.DataFrame({"token": pd.Series([], dtype="object"),
                             "cnt": pd.Series([], dtype="int64")})
@@ -1280,8 +1236,6 @@ def importance_weights(sf_dir: str, target_lang: str = "en",
     """
     import ray
 
-    from .util import bucketed_agg
-
     docs = read_table(f"{sf_dir}/documents.parquet",
                       columns=["doc_id", "text", "lang"])
 
@@ -1304,11 +1258,10 @@ def importance_weights(sf_dir: str, target_lang: str = "en",
         return df
 
     def count_combine(df: pd.DataFrame) -> pd.DataFrame:
-        from .util import keyed_group_sum
         return keyed_group_sum(df, ["token"], ["c_all", "c_tgt"]) \
             .astype({"c_all": "int64", "c_tgt": "int64"})
 
-    counts = bucketed_agg(
+    counts = combine(
         docs.map_batches(count_partial, batch_format="pandas"),
         ["token"], count_combine).to_pandas()
     if counts.empty:
@@ -1373,8 +1326,6 @@ def corpus_clean_spans(sf_dir: str, min_tokens: int = 20,
     keep = reason == 0, reason bits 1/2/4/8 from ``corpus_clean`` plus
     16.
     """
-    from .util import bucketed_agg
-
     cc = corpus_clean(sf_dir, min_tokens=min_tokens,
                       max_dup_frac=max_dup_frac, contam_n=contam_n,
                       bench_mod=bench_mod)
@@ -1411,4 +1362,4 @@ def corpus_clean_spans(sf_dir: str, min_tokens: int = 20,
             "keep": (reason == 0).astype(np.int64),
             "reason": reason.astype(np.int64)})
 
-    return bucketed_agg(u, ["doc_id"], comb)
+    return combine(u, ["doc_id"], comb)

@@ -247,7 +247,8 @@ def cost_allocation(spec: RasterSpec | None = None,
         return pd.concat(parts, ignore_index=True) if parts else \
             pd.DataFrame({"src": [], "n": []})
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    # one summary row per combine call (whole sources each), folded here
+    def summary(df: pd.DataFrame) -> pd.DataFrame:
         n = df.groupby("src", sort=True)["n"].sum()
         return pd.DataFrame({
             "n_sources": [len(n)],
@@ -255,10 +256,17 @@ def cost_allocation(spec: RasterSpec | None = None,
             "max_zone": [int(n.max()) if len(n) else 0],
             "min_zone": [int(n.min()) if len(n) else 0]})
 
-    from .util import combine_bounded
-    return combine_bounded(
+    from .util import combine
+    calls = combine(
         rd.range(spec.n_tiles).map_batches(partial, batch_format="numpy"),
-        combine).to_pandas()
+        "src", summary).to_pandas()
+    if calls.empty:
+        return calls
+    return pd.DataFrame({
+        "n_sources": [int(calls["n_sources"].sum())],
+        "total_alloc": [int(calls["total_alloc"].sum())],
+        "max_zone": [int(calls["max_zone"].max())],
+        "min_zone": [int(calls["min_zone"].min())]})
 
 
 def cost_pathway(spec: RasterSpec | None = None,

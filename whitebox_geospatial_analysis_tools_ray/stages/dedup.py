@@ -25,7 +25,7 @@ import pandas as pd
 import ray.data as rd
 
 from ..sources import read_table
-from .util import bucketed_agg, coalesce_partials
+from .util import combine
 
 from .util import SQL_WS as _SQL_WS, sql_ws_re as _sql_ws_re
 _TOKEN_RE = _sql_ws_re()
@@ -54,7 +54,7 @@ def exact_dedup(sf_dir: str) -> "rd.Dataset":
 
     partials = ds.map_batches(partial, batch_format="pandas")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
         a = (df.groupby("text_md5", sort=False)
              .agg(survivor_id=("survivor", "min"), dup_count=("c", "sum"))
              .reset_index())
@@ -71,8 +71,7 @@ def exact_dedup(sf_dir: str) -> "rd.Dataset":
 
     # content hashes are an UNBOUNDED key — bucketed vectorized combine
     # (Ray's per-group aggregate machinery cost 4.8 s for 4.7k groups)
-    return bucketed_agg(partials, ["text_md5"], combine,
-                        recombine=recombine)
+    return combine(partials, "text_md5", fold, recombine)
 
 
 def pages_exact_dedup(pages_dir: str, num_buckets: int | None = None,
@@ -98,7 +97,7 @@ def pages_exact_dedup(pages_dir: str, num_buckets: int | None = None,
 
     partials = ds.map_batches(partial, batch_format="pandas")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
         per_key = df.groupby("text_md5", sort=False)["c"].sum()
         return pd.DataFrame({
             "n_pages": [int(per_key.sum())],
@@ -106,7 +105,7 @@ def pages_exact_dedup(pages_dir: str, num_buckets: int | None = None,
             "max_group": [int(per_key.max()) if len(per_key) else 0]})
 
     def recombine(df: pd.DataFrame) -> pd.DataFrame:
-        # valid ONLY because bucketed_agg's hierarchical slicer snaps
+        # valid ONLY because util.combine's hierarchical slicer snaps
         # slice edges to key-group boundaries: slices hold disjoint key
         # sets, so n_distinct sums and max_group maxes exactly
         return pd.DataFrame({
@@ -114,10 +113,10 @@ def pages_exact_dedup(pages_dir: str, num_buckets: int | None = None,
             "n_distinct": [int(df["n_distinct"].sum())],
             "max_group": [int(df["max_group"].max()) if len(df) else 0]})
 
-    buckets = bucketed_agg(partials, ["text_md5"], combine,
-                           num_buckets=num_buckets, recombine=recombine,
-                           max_bucket_rows=max_bucket_rows,
-                           hier_counter=hier_counter).to_pandas()
+    buckets = combine(partials, "text_md5", fold, recombine,
+                      num_buckets=num_buckets,
+                      max_bucket_rows=max_bucket_rows,
+                      hier_counter=hier_counter).to_pandas()
     if len(buckets) == 0:
         return pd.DataFrame({"n_pages": [0], "n_distinct": [0],
                              "max_group": [0]})
@@ -144,14 +143,14 @@ def coincident_dedup(points: "rd.Dataset", tol: float = 50.0) -> "rd.Dataset":
 
     partials = points.map_batches(partial, batch_format="numpy")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
         a = (df.groupby(["snap_x", "snap_y"], sort=False)
              .agg(survivor_id=("survivor", "min"),
                   n_coincident=("c", "sum")).reset_index())
         return a.astype({"survivor_id": "int64", "n_coincident": "int64"})
 
     # snapped cells are an UNBOUNDED key (grow with extent/data)
-    return bucketed_agg(partials, ["snap_x", "snap_y"], combine)
+    return combine(partials, ["snap_x", "snap_y"], fold)
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +295,10 @@ def minhash_candidates(sf_dir: str, max_bucket: int = 1024,
         ia, ib = np.triu_indices(len(ids), k=1)
         return pd.DataFrame({"doc_a": ids[ia], "doc_b": ids[ib]})
 
-    # bucketize the unbounded (band, hash) key space into a bounded
-    # number of shuffle groups (∝ cluster parallelism) and process all
-    # of a bucket's LSH buckets in one pandas pass — Ray's map_groups
-    # costs ~10 ms of per-group machinery, which dominates when keys
-    # number in the thousands (measured on the link stats).
-    from .util import adaptive_num_buckets
-    NB = adaptive_num_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(
-            df["band_hash"], index=False).to_numpy()
-        df["bucket"] = ((df["band_id"].to_numpy() * 31 + h) % NB).astype("int64")
-        return df
-
+    # util.combine hands many (band, hash) LSH buckets to one pandas
+    # pass — Ray's per-group machinery costs ~10 ms per group, which
+    # dominates when keys number in the thousands (measured on the link
+    # stats).
     def pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # singleton (band, hash) groups — the overwhelming majority —
         # emit nothing; drop them VECTORIZED before the per-group loop
@@ -326,26 +315,15 @@ def minhash_candidates(sf_dir: str, max_bucket: int = 1024,
                              "doc_b": pd.Series([], dtype="int64")}))
         return out.drop_duplicates()  # within-bucket pair dedup
 
-    cand = (bands.map_batches(add_bucket, batch_format="pandas")
-            .groupby("bucket").map_groups(pairs_bucket,
-                                          batch_format="pandas"))
+    cand = combine(bands, ["band_id", "band_hash"], pairs_bucket)
     if not dedup_pairs:
         # caller tolerates cross-bucket duplicate pairs (the verify
         # paths group per pair anyway) — skip a whole shuffle stage
         return cand
-    # cross-bucket dedup: a pair can recur in different buckets — one
-    # more bounded-bucket pass keyed on the pair hash
-    def pair_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df["pbucket"] = ((df["doc_a"].to_numpy() * 2654435761
-                          + df["doc_b"].to_numpy()) % NB).astype("int64")
-        return df
-
-    uniq = (cand.map_batches(pair_bucket, batch_format="pandas")
-            .groupby("pbucket").map_groups(
-                lambda g: g.drop_duplicates(["doc_a", "doc_b"])
-                           .drop(columns="pbucket"),
-                batch_format="pandas"))
-    return uniq
+    # cross-bucket dedup: a pair can recur in different LSH buckets — one
+    # more combine keyed on the pair
+    return combine(cand, ["doc_a", "doc_b"],
+                   lambda g: g.drop_duplicates(["doc_a", "doc_b"]))
 
 
 def minhash_verified_pairs(sf_dir: str, threshold: float = 0.6,
@@ -360,18 +338,13 @@ def minhash_verified_pairs(sf_dir: str, threshold: float = 0.6,
     map stage, zero shuffles past the candidate groupby). Above the
     bound it falls back to the fully distributed two-shuffle plan:
     pair side-rows keyed by doc pick up shingle sets in a doc-bucketed
-    groupby, then a pair-bucketed groupby computes exact Jaccard; both
-    shuffles use BOUNDED bucket keys (doc_id % NB / pair-hash % NB).
+    combine, then a pair-keyed combine computes exact Jaccard.
     Either path consumes candidates WITHOUT the cross-bucket pair dedup
     shuffle (``dedup_pairs=False``) — both verifies group per pair, so
     duplicate candidate rows cost nothing and a whole all-to-all stage
     disappears. Output: (doc_a, doc_b, jaccard) for pairs ≥ threshold."""
     import ray
 
-    from .util import coalesce_partials
-
-    from .util import adaptive_num_buckets
-    NB = adaptive_num_buckets()
     cand = minhash_candidates(sf_dir, dedup_pairs=False).materialize()
     n_cand = cand.count()
 
@@ -425,7 +398,6 @@ def minhash_verified_pairs(sf_dir: str, threshold: float = 0.6,
         b = batch["doc_b"].to_numpy()
         did = np.concatenate([a, b])
         return pd.DataFrame({
-            "bucket": did % NB,
             "doc_id": did,
             "doc_a": np.concatenate([a, a]),
             "doc_b": np.concatenate([b, b]),
@@ -435,7 +407,6 @@ def minhash_verified_pairs(sf_dir: str, threshold: float = 0.6,
     def shingle_rows(batch: pd.DataFrame) -> pd.DataFrame:
         did = batch["doc_id"].to_numpy().astype(np.int64)
         return pd.DataFrame({
-            "bucket": did % NB,
             "doc_id": did,
             "doc_a": np.full(len(batch), -1, dtype=np.int64),
             "doc_b": np.full(len(batch), -1, dtype=np.int64),
@@ -452,8 +423,7 @@ def minhash_verified_pairs(sf_dir: str, threshold: float = 0.6,
     def attach(g: pd.DataFrame) -> pd.DataFrame:
         sides = g[g["role"] == 0]
         if len(sides) == 0:
-            return pd.DataFrame({"pbucket": pd.Series([], dtype="int64"),
-                                 "doc_a": pd.Series([], dtype="int64"),
+            return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
                                  "doc_b": pd.Series([], dtype="int64"),
                                  "side": pd.Series([], dtype="int64"),
                                  "crcs": pd.Series([], dtype=object)})
@@ -463,13 +433,11 @@ def minhash_verified_pairs(sf_dir: str, threshold: float = 0.6,
         b = sides["doc_b"].to_numpy()
         did = sides["doc_id"].to_numpy()
         return pd.DataFrame({
-            "pbucket": (a * 2654435761 + b) % NB,
             "doc_a": a, "doc_b": b,
             "side": (b == did).astype(np.int64),
             "crcs": [lut[d] for d in did]})
 
-    attached = (coalesce_partials(unioned).groupby("bucket")
-                .map_groups(attach, batch_format="pandas"))
+    attached = combine(unioned, "doc_id", attach)
 
     def verify_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out = {"doc_a": [], "doc_b": [], "jaccard": []}
@@ -492,8 +460,7 @@ def minhash_verified_pairs(sf_dir: str, threshold: float = 0.6,
              "doc_b": pd.Series([], dtype="int64"),
              "jaccard": pd.Series([], dtype="float64")})
 
-    out = (coalesce_partials(attached).groupby("pbucket")
-           .map_groups(verify_bucket, batch_format="pandas").to_pandas())
+    out = combine(attached, ["doc_a", "doc_b"], verify_bucket).to_pandas()
     return (out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
             if len(out) else out)
 
@@ -506,15 +473,12 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5) -> "rd.Dataset":
 
     Plan: per batch emit (shingle_crc, doc_id, set_size) postings —
     set size rides along, so NO extra join is needed; a
-    shingle-bucketed groupby emits co-occurrence pairs per shared
-    shingle; a pair-bucketed groupby counts |A∩B| and computes
-    jaccard = inter / (|A| + |B| − inter). Both shuffles use bounded
-    bucket keys (crc % NB / pair-hash % NB). Per-shingle pair fan-out
+    shingle-keyed combine emits co-occurrence pairs per shared
+    shingle; a pair-keyed combine counts |A∩B| and computes
+    jaccard = inter / (|A| + |B| − inter). Per-shingle pair fan-out
     is O(df²) — exact by construction; at 100-TB corpus scale the
     boilerplate mega-postings make LSH-first (minhash_verified_pairs)
     the right entry point and this operator the per-bucket verify."""
-    from .util import adaptive_num_buckets
-    NB = adaptive_num_buckets()
     docs = read_table(f"{sf_dir}/documents.parquet",
                       columns=["doc_id", "text"])
 
@@ -526,7 +490,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5) -> "rd.Dataset":
             doc_l.append(np.full(len(crcs), int(doc_id), dtype=np.int64))
             sz_l.append(np.full(len(crcs), len(crcs), dtype=np.int64))
         crc = np.concatenate(crc_l)
-        return pd.DataFrame({"sbucket": crc % NB, "crc": crc,
+        return pd.DataFrame({"crc": crc,
                              "doc_id": np.concatenate(doc_l),
                              "sz": np.concatenate(sz_l)})
 
@@ -539,8 +503,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5) -> "rd.Dataset":
         # n-run emit it as doc_a against the n−1−k following elements
         # — identical pair set (and doc_a < doc_b order) to the old
         # per-run triu_indices
-        empty = pd.DataFrame({"pbucket": pd.Series([], dtype="int64"),
-                              "doc_a": pd.Series([], dtype="int64"),
+        empty = pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
                               "doc_b": pd.Series([], dtype="int64"),
                               "sa": pd.Series([], dtype="int64"),
                               "sb": pd.Series([], dtype="int64")})
@@ -563,12 +526,10 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5) -> "rd.Dataset":
         within = np.arange(total) - np.repeat(csum, cnt_a)
         b_idx = a_idx + 1 + within
         a, b = d[a_idx], d[b_idx]
-        return pd.DataFrame({"pbucket": (a * 2654435761 + b) % NB,
-                             "doc_a": a, "doc_b": b,
+        return pd.DataFrame({"doc_a": a, "doc_b": b,
                              "sa": s[a_idx], "sb": s[b_idx]})
 
-    paired = (coalesce_partials(posts).groupby("sbucket")
-              .map_groups(pairs_in_bucket, batch_format="pandas"))
+    paired = combine(posts, "crc", pairs_in_bucket)
 
     def reduce_pairs(g: pd.DataFrame) -> pd.DataFrame:
         agg = (g.groupby(["doc_a", "doc_b"], sort=False)
@@ -582,8 +543,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5) -> "rd.Dataset":
             # half-away-from-zero to match the DuckDB oracle's round()
             "jaccard": np.floor(j[keep].to_numpy() * 1e6 + 0.5) / 1e6})
 
-    return (coalesce_partials(paired).groupby("pbucket")
-            .map_groups(reduce_pairs, batch_format="pandas"))
+    return combine(paired, ["doc_a", "doc_b"], reduce_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -642,13 +602,10 @@ def simhash_neardup_pairs(sf_dir: str, max_hamming: int = 3,
     all-pairs, which is what the DuckDB oracle computes.
 
     Plan: stateless signature map → 4 postings per doc keyed
-    (band, value) bucketized into NB bounded shuffle keys (the sig
-    rides along, so the verify needs NO extra join) → per-bucket pair
-    emission (mega-buckets degrade to star pairs like
-    minhash_candidates) → pair-bucketed dedup + vectorized
-    XOR-popcount filter."""
-    from .util import adaptive_num_buckets
-    NB = adaptive_num_buckets()
+    (band, value) (the sig rides along, so the verify needs NO extra
+    join) → a combine keyed on (band, value) emits pairs (mega-buckets
+    degrade to star pairs like minhash_candidates) → a pair-keyed
+    combine dedups + vectorized XOR-popcount filter."""
     docs = read_table(f"{sf_dir}/documents.parquet",
                       columns=["doc_id", "text"])
 
@@ -661,7 +618,7 @@ def simhash_neardup_pairs(sf_dir: str, max_hamming: int = 3,
             val = ((sig >> np.uint64(band * 16)) & np.uint64(0xFFFF)).astype(np.int64)
             bkey = band * 65536 + val      # int64 band key (NUL-free)
             outs.append(pd.DataFrame({
-                "sbucket": bkey % NB, "bkey": bkey, "doc_id": did,
+                "bkey": bkey, "doc_id": did,
                 "sig": sig.view(np.int64)}))
         return pd.concat(outs, ignore_index=True)
 
@@ -685,20 +642,17 @@ def simhash_neardup_pairs(sf_dir: str, max_hamming: int = 3,
                 ia, ib = np.triu_indices(n, k=1)
             outs.append((d[ia], d[ib], s[ia], s[ib]))
         if not outs:
-            return pd.DataFrame({"pbucket": pd.Series([], dtype="int64"),
-                                 "doc_a": pd.Series([], dtype="int64"),
+            return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
                                  "doc_b": pd.Series([], dtype="int64"),
                                  "ha": pd.Series([], dtype="int64"),
                                  "hb": pd.Series([], dtype="int64")})
         a = np.concatenate([o[0] for o in outs])
         b = np.concatenate([o[1] for o in outs])
-        return pd.DataFrame({"pbucket": (a * 2654435761 + b) % NB,
-                             "doc_a": a, "doc_b": b,
+        return pd.DataFrame({"doc_a": a, "doc_b": b,
                              "ha": np.concatenate([o[2] for o in outs]),
                              "hb": np.concatenate([o[3] for o in outs])})
 
-    paired = (coalesce_partials(posts).groupby("sbucket")
-              .map_groups(pairs_in_bucket, batch_format="pandas"))
+    paired = combine(posts, "bkey", pairs_in_bucket)
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -714,8 +668,7 @@ def simhash_neardup_pairs(sf_dir: str, max_hamming: int = 3,
             "doc_b": g["doc_b"].to_numpy()[keep],
             "hamming": ham[keep]})
 
-    return (coalesce_partials(paired).groupby("pbucket")
-            .map_groups(verify, batch_format="pandas"))
+    return combine(paired, ["doc_a", "doc_b"], verify)
 
 
 def minhash_error_eval(sf_dir: str, threshold: float = 0.6,

@@ -30,7 +30,7 @@ from ray.data.aggregate import Sum
 
 from ..sources import read_table
 from .ann import _batch_matrix
-from .util import coalesce_partials
+from .util import combine, groupwise_combine
 
 
 def _read_embeddings(sf_dir: str) -> "rd.Dataset":
@@ -218,8 +218,8 @@ def cosine_neardup_pairs(sf_dir: str, threshold: float = 0.35,
 
     assigned = _read_embeddings(sf_dir).map_batches(
         assign, batch_format="numpy")
-    return (coalesce_partials(assigned).groupby("list_id")
-            .map_groups(per_bucket, batch_format="pandas"))
+    return combine(assigned, "list_id",
+                   groupwise_combine(per_bucket, "list_id"))
 
 
 def cosine_neardup_stats(sf_dir: str, threshold: float = 0.35,
@@ -257,7 +257,6 @@ def cosine_neardup_stats(sf_dir: str, threshold: float = 0.35,
             "np_": pd.Series([int((ang <= radius[:, None]).sum())],
                              dtype="int64")})
 
-    from .util import combine_bounded
     parts = _read_embeddings(sf_dir).map_batches(counts,
                                                  batch_format="numpy")
 
@@ -272,7 +271,7 @@ def cosine_neardup_stats(sf_dir: str, threshold: float = 0.35,
                 dtype="float64"),
             "n_pairs": pd.Series([-1], dtype="int64")})
 
-    out = combine_bounded(parts, fin).to_pandas()
+    out = combine(parts, (), fin).to_pandas()
     if out.empty:
         return pd.DataFrame(cols)
     n_pairs = cosine_neardup_pairs(sf_dir, threshold, n_lists, seed,
@@ -352,8 +351,7 @@ def kmeans_embeddings(sf_dir: str, k: int = 8, iters: int = 10,
                 "sx": [row.tobytes() for row in sums],
             })
 
-        parts = coalesce_partials(
-            ds.map_batches(partial, batch_format="numpy")).to_pandas()
+        parts = ds.map_batches(partial, batch_format="numpy").to_pandas()
         agg = parts.groupby("c")
         for c, g in agg:
             nn = g["n"].sum()
@@ -524,7 +522,6 @@ def cluster_attributes(sf_dir: str, k: int = 5, iters: int = 8,
                   (r["c_nationkey"] - mu[1]) / sd[1]])
         for r in sorted(init, key=lambda r: r["c_custkey"])])
 
-    from .util import coalesce_partials
     for _ in range(iters):
         c_ref = ray.put(centroids)
 
@@ -542,8 +539,7 @@ def cluster_attributes(sf_dir: str, k: int = 5, iters: int = 8,
                 "n": cnt,
                 "sx": [row.tobytes() for row in sums]})
 
-        parts = coalesce_partials(
-            ds.map_batches(partial, batch_format="numpy")).to_pandas()
+        parts = ds.map_batches(partial, batch_format="numpy").to_pandas()
         for c, g in parts.groupby("c"):
             nn = g["n"].sum()
             if nn > 0:
@@ -567,8 +563,7 @@ def cluster_attributes(sf_dir: str, k: int = 5, iters: int = 8,
                 a, weights=d2[np.arange(len(a)), a],
                 minlength=len(cents))})
 
-    parts = coalesce_partials(
-        ds.map_batches(final, batch_format="numpy")).to_pandas()
+    parts = ds.map_batches(final, batch_format="numpy").to_pandas()
     g = parts.groupby("cluster_id").agg(n=("n", "sum"),
                                         inertia=("inertia", "sum"))
     g["inertia"] = g["inertia"].round(round_to)

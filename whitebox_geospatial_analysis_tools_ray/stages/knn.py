@@ -15,7 +15,7 @@ Distributed plan (SURVEY.md §2.4 "kNN lookups"): neighbour-cell
 duplication range join — points are emitted to every cell of a
 ``maxdist``-pitch grid whose expanded bbox contains them (≤ 4 cells for
 pitch == maxdist), query cells are keyed by their single grid cell, and a
-``groupby(cell).map_groups`` refines exactly per group. The shuffle key
+``util.combine`` keyed on the cell refines exactly per group. The shuffle key
 is the spatial cell — the same partitioning key used by the spatial
 join, per the north rule.
 """
@@ -27,7 +27,7 @@ import pandas as pd
 import ray.data as rd
 
 from ..core.rng import NODATA, SOUTH, WEST
-from .util import coalesce_partials
+from .util import combine, groupwise_combine
 
 
 def _grid_key(x: np.ndarray, y: np.ndarray, pitch: float) -> tuple[np.ndarray, np.ndarray]:
@@ -117,13 +117,8 @@ def idw_interpolate(points: "rd.Dataset", cells: list[dict],
         return pd.DataFrame({"cell_id": qid.astype("int64"),
                              "idw_z": np.round(vals, round_to)})
 
-    # Re-block the unioned (queries ∪ duplicated points) stream before the
-    # cell shuffle: the union inherits every upstream block boundary, and
-    # the groupby's reduce fan-out follows block count, so tiny blocks
-    # mean pure scheduling overhead. Adaptive re-blocking keeps the
-    # fan-out proportional to data volume at any scale.
-    both = coalesce_partials(cells_ds.union(pts_dup))
-    return both.groupby("gkey").map_groups(per_cell_group, batch_format="pandas")
+    return combine(cells_ds.union(pts_dup), "gkey",
+                   groupwise_combine(per_cell_group, "gkey"))
 
 
 def nearest_point_per_site(points: "rd.Dataset", sites: list[dict],
@@ -156,8 +151,7 @@ def nearest_point_per_site(points: "rd.Dataset", sites: list[dict],
                              "nn_rec": [int(rec)],
                              "nn_dist": [round(float(np.sqrt(md)), round_to)]})
 
-    return coalesce_partials(partials).groupby("site_id").map_groups(
-        final, batch_format="pandas")
+    return combine(partials, "site_id", groupwise_combine(final, "site_id"))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +229,8 @@ def _self_nn_round(points: "rd.Dataset", query_ids, pitch: float):
         return pd.DataFrame({"rec_id": qs["id"].to_numpy(),
                              "d2": dmin})
 
-    res = (coalesce_partials(points.map_batches(emit, batch_format="numpy"))
-           .groupby("gkey").map_groups(per_cell, batch_format="pandas")
+    res = (combine(points.map_batches(emit, batch_format="numpy"), "gkey",
+                   groupwise_combine(per_cell, "gkey"))
            .to_pandas())
     ok = res["d2"] <= p2
     return res[ok], res.loc[~ok, "rec_id"].to_numpy()

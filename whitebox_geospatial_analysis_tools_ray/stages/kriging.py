@@ -35,7 +35,7 @@ import ray.data as rd
 from ..core.features import cell_centers
 from ..core.rng import NODATA, SOUTH, WEST
 from .points import read_points
-from .util import coalesce_partials
+from .util import combine, groupwise_combine
 
 LAG_SIZE = 100.0
 N_LAGS = 6
@@ -161,18 +161,14 @@ def empirical_variogram(points: "rd.Dataset",
                                    sd=("d", "sum"))
         return gg.reset_index()
 
-    parts = (coalesce_partials(dup).groupby("gkey")
-             .map_groups(partial, batch_format="pandas")).materialize()
-    if parts.count() == 0:  # empty layer -> typed empty variogram
+    parts = combine(dup, "gkey", groupwise_combine(partial, "gkey")).to_pandas()
+    if len(parts) == 0:     # empty layer -> typed empty variogram
         return pd.DataFrame({"bin": pd.Series([], dtype="int64"),
                              "n": pd.Series([], dtype="int64"),
                              "gamma": pd.Series([], dtype="float64"),
                              "mean_dist": pd.Series([], dtype="float64")})
-    tot = (parts.groupby("bin")
-           .sum(["n", "ssq", "sd"]).to_pandas()
-           .rename(columns={"sum(n)": "n", "sum(ssq)": "ssq",
-                            "sum(sd)": "sd"})
-           .sort_values("bin").reset_index(drop=True))
+    tot = (parts.groupby("bin", sort=True)[["n", "ssq", "sd"]].sum()
+           .reset_index())
     tot["gamma"] = tot["ssq"] / tot["n"]
     tot["mean_dist"] = tot["sd"] / tot["n"]
     return tot[["bin", "n", "gamma", "mean_dist"]]
@@ -284,9 +280,8 @@ def krige_cells(sf_dir: str, k: int = K_NEIGHBORS,
         return pd.DataFrame({"cell_id": qs["rec_id"].to_numpy(),
                              "kriged_z": np.round(out, round_to)})
 
-    both = coalesce_partials(cells_ds.union(dup))
-    return (both.groupby("gkey").map_groups(per_group, batch_format="pandas")
-            .sort("cell_id"))
+    return combine(cells_ds.union(dup), "gkey",
+                   groupwise_combine(per_group, "gkey")).sort("cell_id")
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +393,8 @@ def rbf_cells(sf_dir: str, k: int = K_NEIGHBORS, eps: float = 50.0,
         return pd.DataFrame({"cell_id": qs["rec_id"].to_numpy(),
                              "rbf_z": np.round(out, round_to)})
 
-    both = coalesce_partials(cells_ds.union(dup))
-    return (both.groupby("gkey").map_groups(per_group, batch_format="pandas")
-            .sort("cell_id"))
+    return combine(cells_ds.union(dup), "gkey",
+                   groupwise_combine(per_group, "gkey")).sort("cell_id")
 
 
 def rbf_cells_naive(sf_dir: str, k: int = K_NEIGHBORS, eps: float = 50.0,

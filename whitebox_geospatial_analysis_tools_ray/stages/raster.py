@@ -10,7 +10,7 @@ equality and PROPAGATED by every operator — MathTools/src/plugins/Add.java:307
 - per-cell math = one vectorized numpy ufunc family over tile tensors
   (the 42 MathTools tools + RasterCalculator compile to this).
 - stencil ops (FilterMean etc.) = TILE-STENCIL: tiles emit halo rows to
-  vertical neighbours keyed by target tile, groupby(tile).map_groups
+  vertical neighbours keyed by target tile, ``util.combine`` keyed on it
   assembles tile+halo and runs the window kernel. Semantics per
   ``FilterMean.java:267-290``: centre NoData → NoData; else mean of
   non-NoData cells in the window clipped to the grid.
@@ -184,7 +184,8 @@ def stencil_apply(ds: "rd.Dataset", spec: RasterSpec, kernel,
         res = filt[halo:halo + H, halo:-halo]
         return pd.DataFrame({"tile_id": [target], "data": [res.ravel()]})
 
-    return halos.groupby("target").map_groups(assemble, batch_format="pandas")
+    from .util import combine, groupwise_combine
+    return combine(halos, "target", groupwise_combine(assemble, "target"))
 
 
 def stencil_apply_regen(spec: RasterSpec, kernel, halo: int = 1,

@@ -34,7 +34,7 @@ from ray.data.aggregate import Max, Min, Sum
 
 from ..core.rng import NODATA
 from .raster import RasterSpec, raster_map, synth_value
-from .util import coalesce_partials
+from .util import combine, groupwise_combine
 
 _A2 = 2246822519
 _C2 = 12345
@@ -197,12 +197,11 @@ def cross_tabulation(pair: "rd.Dataset", spec: RasterSpec,
 
     partials = pair.map_batches(partial, batch_format="pandas")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def pair_counts(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["class_a", "class_b"], sort=True)["c"].sum().reset_index()
         return g.rename(columns={"c": "n"}).astype({"n": "int64"})
 
-    from .util import combine_bounded
-    return combine_bounded(partials, combine)
+    return combine(partials, ["class_a", "class_b"], pair_counts)
 
 
 def _pair_moments(pair: "rd.Dataset", spec: RasterSpec) -> dict:
@@ -3119,18 +3118,17 @@ def convert_to_smooth_surface(spec: RasterSpec,
                              "col": int(g["col"].iloc[0]),
                              "v": v})
 
-    cells = (coalesce_partials(parts).groupby("col")
-             .map_groups(per_col, batch_format="pandas"))
+    cells = combine(parts, "col", groupwise_combine(per_col, "col"))
 
     def per_row(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values("col")        # fixed float-sum order
         valid = g["v"] != NODATA
         return pd.DataFrame({
             "row_id": [int(g["row"].iloc[0])],
             "n_valid": [int(valid.sum())],
             "row_sum": [round(float(g.loc[valid, "v"].sum()), round_to)]})
 
-    out = (cells.groupby("row").map_groups(per_row, batch_format="pandas")
-           .to_pandas())
+    out = combine(cells, "row", groupwise_combine(per_row, "row")).to_pandas()
     return out.sort_values("row_id").reset_index(drop=True)
 
 

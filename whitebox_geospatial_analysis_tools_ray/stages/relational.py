@@ -16,6 +16,7 @@ import ray
 import ray.data as rd
 
 from ..sources import read_table
+from .util import combine, groupwise_combine
 
 
 
@@ -45,7 +46,7 @@ def q1_pricing_summary(sf_dir: str, round_to: int = 4) -> "rd.Dataset":
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["l_returnflag", "l_linestatus"], sort=True).agg(
             sum_qty=("qty", "sum"), sum_base_price=("base", "sum"),
             sum_disc_price=("disc", "sum"),
@@ -55,8 +56,7 @@ def q1_pricing_summary(sf_dir: str, round_to: int = 4) -> "rd.Dataset":
         g["count_order"] = g["count_order"].astype("int64")
         return g
 
-    from .util import combine_bounded
-    return combine_bounded(partials, combine)
+    return combine(partials, ["l_returnflag", "l_linestatus"], fold)
 
 
 def revenue_by_nation(sf_dir: str, round_to: int = 4) -> "rd.Dataset":
@@ -95,7 +95,7 @@ def revenue_by_nation(sf_dir: str, round_to: int = 4) -> "rd.Dataset":
 
     partials = orders.map_batches(join, batch_format="numpy")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("n_name", sort=True).agg(
             revenue=("revenue", "sum"),
             n_orders=("n_orders", "sum")).reset_index()
@@ -103,8 +103,7 @@ def revenue_by_nation(sf_dir: str, round_to: int = 4) -> "rd.Dataset":
         g["n_orders"] = g["n_orders"].astype("int64")
         return g
 
-    from .util import combine_bounded
-    return combine_bounded(partials, combine)
+    return combine(partials, "n_name", fold)
 
 
 def top_parts_by_price(sf_dir: str, k: int = 15) -> "rd.Dataset":
@@ -136,20 +135,19 @@ def events_tumbling_window(sf_dir: str, window_sec: int = 3600,
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["event_type", "window_id"], sort=True).agg(
             n_events=("n", "sum"), sum_value=("s", "sum")).reset_index()
         g["n_events"] = g["n_events"].astype("int64")
         g["sum_value"] = g["sum_value"].round(round_to)
         return g
 
-    from .util import combine_bounded
-    return combine_bounded(partials, combine)
+    return combine(partials, ["event_type", "window_id"], fold)
 
 
 def user_sessions(sf_dir: str, gap_sec: int = 1800) -> "rd.Dataset":
-    """Session windows per user (gap-based): groupby(user).map_groups
-    sorts the group by ts and splits on gaps > gap_sec.
+    """Session windows per user (gap-based): ``util.combine`` keyed on
+    user_id; each user's group is sorted by ts and splits on gaps > gap_sec.
     Output: (user_id, n_sessions, n_events, max_session_events)."""
     ds = read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
@@ -164,7 +162,7 @@ def user_sessions(sf_dir: str, gap_sec: int = 1800) -> "rd.Dataset":
                              "n_events": [len(ts)],
                              "max_session_events": [int(sizes.max())]})
 
-    return ds.groupby("user_id").map_groups(sessions, batch_format="pandas")
+    return combine(ds, "user_id", groupwise_combine(sessions, "user_id"))
 
 
 def distinct_event_types(sf_dir: str) -> "rd.Dataset":
@@ -178,12 +176,11 @@ def distinct_event_types(sf_dir: str) -> "rd.Dataset":
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("event_type", sort=True)["c"].sum().reset_index()
         return g.rename(columns={"c": "n"}).astype({"n": "int64"})
 
-    from .util import combine_bounded
-    return combine_bounded(partials, combine)
+    return combine(partials, "event_type", fold)
 
 
 def attribute_histogram(sf_dir: str):
@@ -281,26 +278,20 @@ WHERE n >= 2
 
 def shuffle_hash_join(left: "rd.Dataset", right: "rd.Dataset",
                       left_on: str, right_on: str,
-                      n_buckets: int | None = None,
                       salt: int = 1) -> "rd.Dataset":
-    """Distributed inner equi-join: both sides hash-partition on the
-    key into a BOUNDED number of shuffle buckets (∝ parallelism, the
-    repo's bounded-bucket rule), one pandas merge per bucket. Neither
-    side is broadcast or materialized.
+    """Distributed inner equi-join: both sides are tagged with the join
+    key and co-grouped by ``util.combine``, one pandas merge per group
+    of whole keys. Neither side is broadcast.
 
-    Skew handling: ``salt > 1`` splits every bucket into ``salt``
-    sub-buckets — LEFT rows are scattered by a row-content hash, RIGHT
-    rows are replicated to all sub-buckets — so a hot key's work is
-    bounded by left_count/salt per group at the cost of ×salt right
+    Skew handling: ``salt > 1`` splits every key into ``salt``
+    sub-groups — LEFT rows are scattered by row position, RIGHT rows
+    are replicated to all sub-groups — so a hot key's work is bounded
+    by left_count/salt per group at the cost of ×salt right
     duplication (pick the smaller table as RIGHT)."""
     import pandas as pd
     import pyarrow as pa
 
-    from .util import adaptive_num_buckets
-    if n_buckets is None:
-        n_buckets = adaptive_num_buckets()
-
-    MULT = 2654435761
+    on = ["__key", "__salt"]
     lcols = [c for c in left.schema().names]
     rcols = [c for c in right.schema().names]
 
@@ -323,27 +314,21 @@ def shuffle_hash_join(left: "rd.Dataset", right: "rd.Dataset",
             if c not in out.columns:
                 t = rtypes.get(c, ltypes.get(c))
                 out[c] = _default(t)
-        return out[allcols + ["__bucket", "__side"]]
+        return out[allcols + on + ["__side"]]
 
     def tag_left(batch: pd.DataFrame) -> pd.DataFrame:
-        k = batch[left_on].to_numpy().astype(np.int64)
-        base = (k * MULT) % n_buckets
-        if salt > 1:
-            sgrain = np.arange(len(k), dtype=np.int64) % salt
-        else:
-            sgrain = np.zeros(len(k), dtype=np.int64)
         out = batch.copy()
-        out["__bucket"] = base * salt + sgrain
+        out["__key"] = batch[left_on].to_numpy().astype(np.int64)
+        out["__salt"] = np.arange(len(batch), dtype=np.int64) % salt
         out["__side"] = np.int64(0)
         return _pad(out, ltypes)
 
     def tag_right(batch: pd.DataFrame) -> pd.DataFrame:
-        k = batch[right_on].to_numpy().astype(np.int64)
-        base = (k * MULT) % n_buckets
         frames = []
         for sgrain in range(salt):
             f = batch.copy()
-            f["__bucket"] = base * salt + sgrain
+            f["__key"] = batch[right_on].to_numpy().astype(np.int64)
+            f["__salt"] = np.int64(sgrain)
             f["__side"] = np.int64(1)
             frames.append(f)
         return _pad(pd.concat(frames, ignore_index=True), rtypes)
@@ -352,20 +337,11 @@ def shuffle_hash_join(left: "rd.Dataset", right: "rd.Dataset",
     rt = right.map_batches(tag_right, batch_format="pandas")
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
-        ls = g.loc[g["__side"] == 0, lcols]
-        rs = g.loc[g["__side"] == 1, rcols]
-        if len(ls) == 0 or len(rs) == 0:
-            return pd.DataFrame({c: pd.Series([], dtype=g[c].dtype)
-                                 for c in lcols + [c for c in rcols
-                                                   if c != right_on]})
-        m = ls.merge(rs, left_on=left_on, right_on=right_on, how="inner")
-        if right_on != left_on and right_on in m.columns:
-            m = m.drop(columns=[right_on])
-        return m
+        ls = g.loc[g["__side"] == 0, lcols + on]
+        rs = g.loc[g["__side"] == 1, [c for c in rcols if c != right_on] + on]
+        return ls.merge(rs, on=on, how="inner").drop(columns=on)
 
-    from .util import coalesce_partials
-    both = coalesce_partials(lt.union(rt))
-    return both.groupby("__bucket").map_groups(merge, batch_format="pandas")
+    return combine(lt.union(rt), on, merge)
 
 
 def orders_lineitem_join(sf_dir: str, round_to: int = 4,
@@ -387,15 +363,14 @@ def orders_lineitem_join(sf_dir: str, round_to: int = 4,
 
     parts = joined.map_batches(partial, batch_format="pandas")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("o_orderpriority", sort=True).agg(
             n_items=("n", "sum"), rev=("rev", "sum")).reset_index()
         g["n_items"] = g["n_items"].astype("int64")
         g["revenue"] = g["rev"].round(round_to)
         return g.drop(columns=["rev"])
 
-    from .util import combine_bounded
-    return combine_bounded(parts, combine)
+    return combine(parts, "o_orderpriority", fold)
 
 
 def orders_lineitem_join_sql(round_to: int = 4) -> str:
@@ -429,22 +404,18 @@ def events_asof_join(sf_dir: str, left_type: str = "purchase",
     Output: (event_id, user_id, has_prior, gap_us) — gap in integer
     microseconds (exact), -1 when no prior right event exists.
     """
-    from .util import adaptive_num_buckets
-    NB = adaptive_num_buckets()
     ds = read_table(f"{sf_dir}/events.parquet",
                     columns=["event_id", "ts", "user_id",
                              "event_type"])
 
-    def to_bucketed(t: "pa.Table") -> pd.DataFrame:
+    def to_events(t: "pa.Table") -> pd.DataFrame:
         et = t["event_type"].to_pandas()
         keep = (et == left_type) | (et == right_type)
-        df = pd.DataFrame({
+        return pd.DataFrame({
             "event_id": t["event_id"].to_numpy()[keep],
             "ts_us": pc.cast(t["ts"], pa.int64()).to_numpy()[keep],
             "user_id": t["user_id"].to_numpy()[keep],
             "is_left": (et[keep] == left_type).to_numpy()})
-        df["bucket"] = (df["user_id"].to_numpy() * 2654435761) % NB
-        return df
 
     def asof_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out_empty = pd.DataFrame({
@@ -486,11 +457,8 @@ def events_asof_join(sf_dir: str, left_type: str = "purchase",
             "has_prior": same_user.astype(np.int64),
             "gap_us": gap})
 
-    from .util import coalesce_partials
-    return (coalesce_partials(
-                ds.map_batches(to_bucketed, batch_format="pyarrow"))
-            .groupby("bucket")
-            .map_groups(asof_in_bucket, batch_format="pandas"))
+    return combine(ds.map_batches(to_events, batch_format="pyarrow"),
+                   "user_id", asof_in_bucket)
 
 
 def events_sliding_window(sf_dir: str, window_sec: int = 3600,
@@ -533,15 +501,14 @@ def events_sliding_window(sf_dir: str, window_sec: int = 3600,
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["event_type", "window_id"], sort=True).agg(
             n_events=("n", "sum"), sum_value=("s", "sum")).reset_index()
         g["n_events"] = g["n_events"].astype("int64")
         g["sum_value"] = g["sum_value"].round(round_to)
         return g
 
-    from .util import combine_bounded
-    return combine_bounded(partials, combine)
+    return combine(partials, ["event_type", "window_id"], fold)
 
 
 def events_retention(sf_dir: str,
@@ -564,19 +531,13 @@ def events_retention(sf_dir: str,
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from .util import combine_bounded
-
-    from .util import adaptive_num_buckets
-    NB = adaptive_num_buckets()
     ds = read_table(f"{sf_dir}/events.parquet",
                     columns=["ts", "user_id"])
 
-    def to_bucketed(t: "pa.Table") -> pd.DataFrame:
-        uid = t["user_id"].to_numpy()
+    def to_weeks(t: "pa.Table") -> pd.DataFrame:
         return pd.DataFrame({
             "wk": pc.cast(t["ts"], pa.int64()).to_numpy() // week_us,
-            "user_id": uid,
-            "bucket": (uid * 2654435761) % NB})
+            "user_id": t["user_id"].to_numpy()})
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -593,7 +554,7 @@ def events_retention(sf_dir: str,
         return out.rename(columns={"cw": "cohort_week",
                                    "off": "week_offset"}).astype("int64")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
             return pd.DataFrame({
                 "cohort_week": pd.Series([], dtype="int64"),
@@ -603,11 +564,9 @@ def events_retention(sf_dir: str,
              .sum().rename("n_users").reset_index())
         return g.astype("int64")
 
-    bucketed = ds.map_batches(to_bucketed, batch_format="pyarrow")
-    partials = bucketed.groupby("bucket").map_groups(
-        lambda g: per_bucket(g.drop(columns="bucket")),
-        batch_format="pandas")
-    return combine_bounded(partials, combine)
+    partials = combine(ds.map_batches(to_weeks, batch_format="pyarrow"),
+                       "user_id", per_bucket)
+    return combine(partials, ["cohort_week", "week_offset"], fold)
 
 
 def events_interval_join(sf_dir: str, left_type: str = "error",
@@ -632,22 +591,18 @@ def events_interval_join(sf_dir: str, left_type: str = "error",
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from .util import adaptive_num_buckets
-    NB = adaptive_num_buckets()
     ds = read_table(f"{sf_dir}/events.parquet",
                     columns=["event_id", "ts", "user_id",
                              "event_type"])
 
-    def to_bucketed(t: "pa.Table") -> pd.DataFrame:
+    def to_events(t: "pa.Table") -> pd.DataFrame:
         et = t["event_type"].to_pandas()
         keep = ((et == left_type) | (et == right_type)).to_numpy()
-        uid = t["user_id"].to_numpy()[keep]
         return pd.DataFrame({
             "event_id": t["event_id"].to_numpy()[keep],
             "ts_us": pc.cast(t["ts"], pa.int64()).to_numpy()[keep],
-            "user_id": uid,
-            "is_left": (et[keep] == left_type).to_numpy(),
-            "bucket": (uid * 2654435761) % NB})
+            "user_id": t["user_id"].to_numpy()[keep],
+            "is_left": (et[keep] == left_type).to_numpy()})
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -693,12 +648,10 @@ def events_interval_join(sf_dir: str, left_type: str = "error",
             "user_id": luser,
             "n_right": (hi - lo).astype(np.int64)})
 
-    bucketed = ds.map_batches(to_bucketed, batch_format="pyarrow")
     # row order is unspecified (a global sort would be a semantically
     # unneeded all-to-all over one-row-per-left-event output)
-    return bucketed.groupby("bucket").map_groups(
-        lambda g: per_bucket(g.drop(columns="bucket")),
-        batch_format="pandas")
+    return combine(ds.map_batches(to_events, batch_format="pyarrow"),
+                   "user_id", per_bucket)
 
 
 def q6_forecast_revenue(sf_dir: str, round_to: int = 4) -> pd.DataFrame:
@@ -741,8 +694,7 @@ def q6_forecast_revenue(sf_dir: str, round_to: int = 4) -> pd.DataFrame:
         return pd.DataFrame({"revenue": [round(rev, round_to)],
                              "n_items": pd.Series([n], dtype="int64")})
 
-    from .util import combine_bounded
-    return combine_bounded(parts, final).to_pandas()
+    return final(parts.to_pandas())
 
 
 def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
@@ -766,8 +718,6 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray
-
-    from .util import bucketed_agg, combine_bounded
 
     cut = pd.Timestamp(cutoff)
     cust = pq.read_table(f"{sf_dir}/customer.parquet",
@@ -826,8 +776,8 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
         return g[["l_orderkey", "revenue"]].astype(
             {"l_orderkey": "int64"})
 
-    parts = bucketed_agg(li.map_batches(partial, batch_format="pyarrow"),
-                         ["l_orderkey"], comb)
+    parts = combine(li.map_batches(partial, batch_format="pyarrow"),
+                    "l_orderkey", comb).to_pandas()
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
@@ -841,4 +791,4 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
         return g[["l_orderkey", "revenue", "o_orderdate"]].astype(
             {"l_orderkey": "int64"})
 
-    return combine_bounded(parts, final).to_pandas()
+    return final(parts)

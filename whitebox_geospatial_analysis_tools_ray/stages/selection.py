@@ -51,6 +51,7 @@ import ray.data as rd
 
 from ..sources import read_table
 from .util import SQL_WS as _SQL_WS, sql_ws_re as _sql_ws_re
+from .util import combine
 _WS = _sql_ws_re()
 
 # hashed-linear classifier constants: weight(t) = ((crc32(t)·A + B)
@@ -113,7 +114,7 @@ def dataset_mixture(sf_dir: str, rates: dict[str, float] | None = None,
                              "n_docs": np.ones(len(b), dtype=np.int64),
                              "n_kept": (u < r).astype(np.int64)})
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
             return pd.DataFrame({
                 "source": pd.Series([], dtype="object"),
@@ -131,9 +132,8 @@ def dataset_mixture(sf_dir: str, rates: dict[str, float] | None = None,
         return g[["source", "rate", "n_docs", "n_kept", "frac_kept"]].astype(
             {"n_docs": "int64", "n_kept": "int64"})
 
-    from .util import combine_bounded
-    return combine_bounded(docs.map_batches(partial, batch_format="pandas"),
-                           combine).to_pandas()
+    return combine(docs.map_batches(partial, batch_format="pandas"),
+                   "source", fold).to_pandas()
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ def token_kl_divergence(sf_dir: str, round_to: int = 6) -> pd.DataFrame:
 
     Output: (source, n_tokens, n_terms, kl) — source asc; kl rounded.
     """
-    from .util import bucketed_agg, escape_nul, keyed_group_sum
+    from .util import escape_nul, keyed_group_sum
 
     docs = read_table(f"{sf_dir}/documents.parquet",
                       columns=["text", "source"])
@@ -236,8 +236,8 @@ def token_kl_divergence(sf_dir: str, round_to: int = 6) -> pd.DataFrame:
         return keyed_group_sum(df, ["source", "term"], ["c"]) \
             .astype({"c": "int64"})
 
-    counts = bucketed_agg(docs.map_batches(partial, batch_format="pandas"),
-                          ["source", "term"], comb).to_pandas()
+    counts = combine(docs.map_batches(partial, batch_format="pandas"),
+                     ["source", "term"], comb).to_pandas()
     if counts.empty:
         return pd.DataFrame({"source": pd.Series([], dtype="object"),
                              "n_tokens": pd.Series([], dtype="int64"),
@@ -285,7 +285,6 @@ def embedding_quantize(sf_dir: str, round_to: int = 6) -> pd.DataFrame:
     Output: (label, n_vecs, mse, max_abs_err) — label asc, errors
     rounded.
     """
-    from .util import combine_bounded
 
     # materialize once: the max-abs and error passes both consume the
     # same pruned columns — one storage read, two object-store scans
@@ -319,9 +318,8 @@ def embedding_quantize(sf_dir: str, round_to: int = 6) -> pd.DataFrame:
         return (df.groupby("dim", sort=True)["ma"].max().reset_index()
                 .astype({"dim": "int64"}))
 
-    ma = combine_bounded(ds.map_batches(maxabs_partial,
-                                        batch_format="pandas"),
-                         maxabs_comb).to_pandas()
+    ma = combine(ds.map_batches(maxabs_partial, batch_format="pandas"),
+                 "dim", maxabs_comb).to_pandas()
     empty = pd.DataFrame({"label": pd.Series([], dtype="int64"),
                           "n_vecs": pd.Series([], dtype="int64"),
                           "mse": pd.Series([], dtype="float64"),
@@ -372,9 +370,8 @@ def embedding_quantize(sf_dir: str, round_to: int = 6) -> pd.DataFrame:
             "max_abs_err": np.round(g["mx"].to_numpy(dtype=np.float64),
                                     round_to)})
 
-    return combine_bounded(ds.map_batches(err_partial,
-                                          batch_format="pandas"),
-                           err_comb).to_pandas()
+    return combine(ds.map_batches(err_partial, batch_format="pandas"),
+                   "label", err_comb).to_pandas()
 
 
 # ---------------------------------------------------------------------------
@@ -504,25 +501,19 @@ def events_funnel(sf_dir: str,
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from .util import combine_bounded
-
     if len(set(steps)) != len(steps):
         raise ValueError(f"funnel steps must be distinct, got {steps!r}")
-    from .util import adaptive_num_buckets
-    NB = adaptive_num_buckets()
     ds = read_table(f"{sf_dir}/events.parquet",
                     columns=["ts", "user_id", "event_type"])
     step_ix = {s: i for i, s in enumerate(steps)}
 
-    def to_bucketed(t: "pa.Table") -> pd.DataFrame:
+    def to_steps(t: "pa.Table") -> pd.DataFrame:
         et = t["event_type"].to_pandas()
         keep = et.isin(steps).to_numpy()
-        uid = t["user_id"].to_numpy()[keep]
         return pd.DataFrame({
             "ts_us": pc.cast(t["ts"], pa.int64()).to_numpy()[keep],
-            "user_id": uid,
-            "six": et[keep].map(step_ix).to_numpy(dtype=np.int64),
-            "bucket": (uid * 2654435761) % NB})
+            "user_id": t["user_id"].to_numpy()[keep],
+            "six": et[keep].map(step_ix).to_numpy(dtype=np.int64)})
 
     def funnel_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         zero = pd.DataFrame({
@@ -567,11 +558,9 @@ def events_funnel(sf_dir: str,
             {"step_index": "int64", "n_users": "int64",
              "total_gap_us": "int64"})
 
-    bucketed = ds.map_batches(to_bucketed, batch_format="pyarrow")
-    partials = bucketed.groupby("bucket").map_groups(
-        lambda g: funnel_in_bucket(g.drop(columns="bucket")),
-        batch_format="pandas")
-    return combine_bounded(partials, comb).to_pandas()
+    partials = combine(ds.map_batches(to_steps, batch_format="pyarrow"),
+                       "user_id", funnel_in_bucket)
+    return combine(partials, (), comb).to_pandas()
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +584,6 @@ def length_quantiles(sf_dir: str,
     Output: (lang, n_docs, p50, p90, p99) — lang asc, int64.
     """
     import math
-
-    from .util import bucketed_agg
 
     docs = read_table(f"{sf_dir}/documents.parquet",
                       columns=["text", "lang"])
@@ -622,8 +609,8 @@ def length_quantiles(sf_dir: str,
         return (df.groupby(["lang", "dl"], sort=False)["c"].sum()
                 .reset_index().astype({"dl": "int64", "c": "int64"}))
 
-    hist = bucketed_agg(docs.map_batches(partial, batch_format="pandas"),
-                        ["lang", "dl"], comb).to_pandas()
+    hist = combine(docs.map_batches(partial, batch_format="pandas"),
+                   ["lang", "dl"], comb).to_pandas()
     cols = ["lang", "n_docs"] + [f"p{int(q * 100)}" for q in qs]
     if hist.empty:
         return pd.DataFrame({c: pd.Series(
@@ -663,7 +650,6 @@ def incremental_dedup(sf_dir: str, mod: int = 3) -> pd.DataFrame:
     Output: one row (n_incoming, n_hit_existing, n_dup_within,
     n_kept) — exact integers.
     """
-    from .util import bucketed_agg, combine_bounded
 
     docs = read_table(f"{sf_dir}/documents.parquet",
                       columns=["doc_id", "text"])
@@ -701,8 +687,8 @@ def incremental_dedup(sf_dir: str, mod: int = 3) -> pd.DataFrame:
             "n_dup_within": pd.Series([int(dup.sum())], dtype="int64"),
             "n_kept": pd.Series([int(kept.sum())], dtype="int64")})
 
-    parts = bucketed_agg(docs.map_batches(partial, batch_format="pandas"),
-                         ["h"], comb)
+    parts = combine(docs.map_batches(partial, batch_format="pandas"),
+                    "h", comb).to_pandas()
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         cols = ["n_incoming", "n_hit_existing", "n_dup_within", "n_kept"]
@@ -712,7 +698,7 @@ def incremental_dedup(sf_dir: str, mod: int = 3) -> pd.DataFrame:
         return pd.DataFrame({c: pd.Series([int(df[c].sum())],
                                           dtype="int64") for c in cols})
 
-    return combine_bounded(parts, final).to_pandas()
+    return final(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +729,6 @@ def embedding_pq(sf_dir: str, m: int = 8, n_codes: int = 16,
     import ray
 
     from .embeddings import _lowest_k_vectors
-    from .util import combine_bounded
 
     C = _lowest_k_vectors(sf_dir, n_codes)
     empty = pd.DataFrame({
@@ -826,8 +811,8 @@ def embedding_pq(sf_dir: str, m: int = 8, n_codes: int = 16,
             "top_code": g["top_code"].astype("int64"),
             "top_code_count": g["top_code_count"].astype("int64")})
 
-    return combine_bounded(ds.map_batches(partial, batch_format="pandas"),
-                           comb).to_pandas()
+    return combine(ds.map_batches(partial, batch_format="pandas"),
+                   "subspace", comb).to_pandas()
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +882,6 @@ def time_decay_aggregate(sf_dir: str,
     if halflife_us <= 0:
         raise ValueError(f"halflife_us must be positive, "
                          f"got {halflife_us}")
-    from .util import bucketed_agg
 
     ds = read_table(f"{sf_dir}/events.parquet",
                     columns=["ts", "user_id", "value"])
@@ -937,5 +921,5 @@ def time_decay_aggregate(sf_dir: str,
             "score": np.round(g["s"].to_numpy(dtype=np.float64),
                               round_to)})
 
-    return bucketed_agg(ds.map_batches(partial, batch_format="pandas"),
-                        ["user_id"], comb)
+    return combine(ds.map_batches(partial, batch_format="pandas"),
+                   "user_id", comb)

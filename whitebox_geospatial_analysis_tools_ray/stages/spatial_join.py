@@ -15,7 +15,7 @@ Two physical strategies (SURVEY.md §7.3/7.4):
    vectorized bbox prefilter + exact even-odd PIP refine.
 2. **Cell-partitioned shuffle** (both sides large): both sides get an
    H3/S2-style cell key (RectGrid tile id); zones are duplicated into
-   every cell their bbox overlaps; ``groupby(cell).map_groups`` runs the
+   every cell their bbox overlaps; ``util.combine`` keyed on the cell runs the
    same refine per cell. Hot cells can be salted (``salt`` param splits
    a cell's points into k sub-groups, replicating the zone side).
 """
@@ -267,27 +267,18 @@ def cell_partitioned_pip_join(points: "rd.Dataset", zones: list[dict],
                              group["x"].to_numpy(), group["y"].to_numpy(),
                              group["rec_id"].to_numpy())
 
-    # Bucketed shuffle: cell keys are unbounded (grid size), so shuffle
-    # on cell_key % NB (NB ∝ cluster parallelism) and refine each cell
-    # inside a pandas sub-groupby — avoids Ray's ~10 ms per-group
-    # map_groups machinery across hundreds/thousands of cells while
-    # keeping cells co-located (salting still splits hot cells first).
-    from .util import adaptive_num_buckets
-    NB = adaptive_num_buckets()
-
-    def add_bucket(batch):
-        batch["bucket"] = (batch["cell_key"] * 2654435761) % NB
-        return batch
-
+    # util.combine keyed on cell_key refines each cell inside a pandas
+    # sub-groupby — avoids Ray's ~10 ms per-group machinery across
+    # hundreds/thousands of cells while keeping cells co-located
+    # (salting still splits hot cells first).
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         cz = ray.get(cz_ref)
         outs = [_cell_join(cz, int(ck), sub)
                 for ck, sub in g.groupby("cell_key", sort=True)]
         return pd.concat(outs, ignore_index=True) if outs else _pairs_frame([], [])
 
-    return (keyed.map_batches(add_bucket, batch_format="numpy")
-            .groupby("bucket").map_groups(per_bucket,
-                                          batch_format="pandas"))
+    from .util import combine
+    return combine(keyed, "cell_key", per_bucket)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ import ray.data as rd
 from .hydro import _tile_pointers, flow_accumulation_tile_refs
 from .raster import RasterSpec
 from .terrain import _DX, _DY
+from .util import combine
 
 
 def _solve_tile(z: np.ndarray, ptr: np.ndarray, stream: np.ndarray,
@@ -116,8 +117,8 @@ def _topology_fixed_point(spec: RasterSpec, threshold: float,
     is built once and persists in the object store (the accumulation
     tile arrives as a per-tile ObjectRef, never via the driver); only
     the {gcell: [(order, mag, label)]} boundary emit dicts travel per
-    round; ``extract(state, tid, inbox)`` runs ONCE after convergence
-    (round-2 verdict item 3)."""
+    round; ``extract(state, tid, inbox)`` runs ONCE after
+    convergence."""
     from .fixed_point import tile_fixed_point
 
     cols = spec.cols
@@ -235,17 +236,22 @@ def stream_link_lengths(spec: RasterSpec | None = None,
         return pd.concat(parts, ignore_index=True) if parts else \
             pd.DataFrame({"label": [], "n": []})
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    # one summary row per combine call (whole links each), folded here
+    def summary(df: pd.DataFrame) -> pd.DataFrame:
         n = df.groupby("label", sort=True)["n"].sum()
         return pd.DataFrame({"n_links": [len(n)],
                              "total_stream_cells": [int(n.sum())],
                              "max_link_len": [int(n.max()) if len(n) else 0]})
 
-    from .util import combine_bounded
-    per_link = combine_bounded(
+    calls = combine(
         rd.range(spec.n_tiles).map_batches(partial, batch_format="numpy"),
-        combine).to_pandas()
-    return per_link
+        "label", summary).to_pandas()
+    if calls.empty:
+        return calls
+    return pd.DataFrame({
+        "n_links": [int(calls["n_links"].sum())],
+        "total_stream_cells": [int(calls["total_stream_cells"].sum())],
+        "max_link_len": [int(calls["max_link_len"].max())]})
 
 
 def stream_topology_naive(spec: RasterSpec, threshold: float = 5.0):
@@ -319,20 +325,19 @@ def stream_link_slope(spec: RasterSpec | None = None,
             "slope_pct": np.where(np.isfinite(slope),
                                   slope.round(round_to), np.nan)})
 
-    # single-task pandas combine: the per-link partials are
+    # pandas combine keyed on the link: the per-link partials are
     # O(links × tiles) smallish rows, and Ray's sort-aggregate costs
     # ~25 s of fixed machinery on ~10 k keys where pandas takes 10 ms
-    # (measured); tree-combine if links ever outgrow one task.
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    # (measured)
+    def per_link_stats(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("label", sort=True).agg(
             zmin=("zmin", "min"), zmax=("zmax", "max"),
             length=("length", "sum")).reset_index()
         return finalize(g)
 
-    from .util import combine_bounded
-    per_link = combine_bounded(
+    per_link = combine(
         rd.range(spec.n_tiles).map_batches(partial, batch_format="numpy"),
-        combine).to_pandas()
+        "label", per_link_stats).to_pandas()
     return per_link.sort_values("label").reset_index(drop=True)
 
 
@@ -621,18 +626,9 @@ def streams_to_vector(spec: RasterSpec | None = None,
         return (lab, len(seq), seq[0] if seq else -1,
                 seq[-1] if seq else -1, hsh)
 
-    # labels are an unbounded key — bucket them (the repo's
-    # bounded-shuffle rule) and walk every link of a bucket in ONE
-    # map_groups call: Ray's per-group machinery costs ~ms/group,
-    # which dominated at hundreds of links (measured 3.6 s -> ~1 s)
-    from .util import adaptive_num_buckets
-    NB = adaptive_num_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df["bucket"] = (df["label"].to_numpy()
-                        * 2654435761 % NB).astype("int64")
-        return df
-
+    # labels are an unbounded key — util.combine walks many links in ONE
+    # call: Ray's per-group machinery costs ~ms/group, which dominated
+    # at hundreds of links (measured 3.6 s -> ~1 s)
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         rows = [_walk(int(lab), df)
                 for lab, df in g.groupby("label", sort=False)]
@@ -641,14 +637,10 @@ def streams_to_vector(spec: RasterSpec | None = None,
                                           "path_hash"])
         return out.astype("int64")
 
-    from .util import coalesce_partials
-    got = (coalesce_partials(
-        rd.range(spec.n_tiles).map_batches(partial, batch_format="numpy")
-        .map_batches(add_bucket, batch_format="pandas"))
-        .groupby("bucket").map_groups(per_bucket, batch_format="pandas")
-        .to_pandas())
-    return (got.drop(columns="bucket", errors="ignore")
-            .sort_values("label").reset_index(drop=True))
+    got = combine(rd.range(spec.n_tiles).map_batches(partial,
+                                                     batch_format="numpy"),
+                  "label", per_bucket).to_pandas()
+    return got.sort_values("label").reset_index(drop=True)
 
 
 def streams_to_vector_naive(spec: RasterSpec, threshold: float = 5.0):
@@ -1459,16 +1451,14 @@ def stream_link_classification(spec: RasterSpec | None = None,
         return pd.concat(parts, ignore_index=True) if parts else \
             pd.DataFrame({"class_value": [], "n": []})
 
-    from .util import combine_bounded
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def class_counts(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("class_value", sort=True, as_index=False)["n"].sum()
         return pd.DataFrame({"class_value": g["class_value"].astype(np.int64),
                              "n_cells": g["n"].astype(np.int64)})
 
-    return combine_bounded(
+    return combine(
         rd.range(spec.n_tiles).map_batches(per_tile, batch_format="numpy"),
-        combine).to_pandas()
+        "class_value", class_counts).to_pandas()
 
 
 def classification_walk_arrays(ptr: np.ndarray, stream: np.ndarray,
@@ -1666,9 +1656,8 @@ def remove_short_streams(spec: RasterSpec | None = None,
             pd.DataFrame({"label": [], "n": [], "len": [], "mag": [],
                           "conf": []})
 
-    from .util import combine_bounded
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    # one summary row per combine call (whole links each), summed here
+    def summary(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("label").agg(
             n=("n", "sum"), length=("len", "sum"), min_mag=("mag", "min"),
             conf=("conf", "max"))
@@ -1680,9 +1669,10 @@ def remove_short_streams(spec: RasterSpec | None = None,
             "n_removed_cells": [int(removed["n"].sum())],
             "remaining_cells": [int(g["n"].sum() - removed["n"].sum())]})
 
-    return combine_bounded(
+    calls = combine(
         rd.range(spec.n_tiles).map_batches(per_tile, batch_format="numpy"),
-        combine).to_pandas()
+        "label", summary).to_pandas()
+    return calls if calls.empty else calls.sum().to_frame().T.astype("int64")
 
 
 def remove_short_streams_naive(spec: RasterSpec, threshold: float = 5.0,

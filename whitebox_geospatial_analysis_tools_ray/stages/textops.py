@@ -22,6 +22,7 @@ import ray.data as rd
 
 from ..sources import read_table
 from .util import SQL_WS as _SQL_WS, sql_ws_re as _sql_ws_re
+from .util import combine, groupwise_combine, keyed_group_sum
 _WS = _sql_ws_re()
 
 
@@ -56,8 +57,7 @@ def token_stats_by_lang(sf_dir: str, round_to: int = 6) -> "rd.Dataset":
                              "avg_tokens": [round(st / n, round_to)],
                              "avg_chars": [round(sc / n, round_to)]})
 
-    from .util import combine_bounded, groupwise_combine
-    return combine_bounded(partials, groupwise_combine(final, "lang"))
+    return combine(partials, "lang", groupwise_combine(final, "lang"))
 
 
 def quality_scores_by_lang(sf_dir: str, round_to: int = 6) -> "rd.Dataset":
@@ -97,8 +97,7 @@ def quality_scores_by_lang(sf_dir: str, round_to: int = 6) -> "rd.Dataset":
             "avg_digit_ratio": [round(float(g["sd"].sum()) / n, round_to)],
         })
 
-    from .util import combine_bounded, groupwise_combine
-    return combine_bounded(partials, groupwise_combine(final, "lang"))
+    return combine(partials, "lang", groupwise_combine(final, "lang"))
 
 
 def fingerprint_stats(sf_dir: str) -> "rd.Dataset":
@@ -122,7 +121,7 @@ def fingerprint_stats(sf_dir: str) -> "rd.Dataset":
                              "n_docs": [len(g)],
                              "n_distinct_fingerprints": [int(g["fp"].nunique())]})
 
-    return fps.groupby("lang").map_groups(final, batch_format="pandas")
+    return combine(fps, "lang", groupwise_combine(final, "lang"))
 
 
 # Stopword profiles for the heuristic language classifier.
@@ -166,12 +165,11 @@ def langid_confusion(sf_dir: str) -> "rd.Dataset":
 
     partials = pred.map_batches(partial, batch_format="pandas")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def pair_counts(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["lang", "pred_lang"], sort=True)["c"].sum().reset_index()
         return g.rename(columns={"c": "n"}).astype({"n": "int64"})
 
-    from .util import combine_bounded
-    return combine_bounded(partials, combine)
+    return combine(partials, ["lang", "pred_lang"], pair_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -234,19 +232,13 @@ def token_hll(sf_dir: str, p: int = 10) -> "rd.Dataset":
 
     partials = ds.map_batches(partial, batch_format="pandas")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        full = pd.DataFrame({"register_id": np.arange(1 << p,
-                                                      dtype=np.int64)})
-        if df.empty:        # 0-row corpus: all registers empty
-            return full.assign(rho=np.zeros(1 << p, dtype=np.int64))
-        g = (df.groupby("register_id", sort=True)["rho"].max()
-             .reset_index().astype({"rho": "int64"}))
-        out = full.merge(g, on="register_id", how="left")
-        out["rho"] = out["rho"].fillna(0).astype("int64")
-        return out
+    # every partial carries all 2^p registers, so the max-merge keyed on
+    # register_id emits every register
+    def register_max(df: pd.DataFrame) -> pd.DataFrame:
+        return (df.groupby("register_id", sort=True)["rho"].max()
+                .reset_index().astype({"rho": "int64"}))
 
-    from .util import combine_bounded
-    return combine_bounded(partials, combine)
+    return combine(partials, "register_id", register_max)
 
 
 def hll_estimate(sf_dir: str, p: int = 10,
@@ -298,8 +290,6 @@ def tfidf_top_terms(sf_dir: str, k: int = 3,
 
     import ray
 
-    from .util import bucketed_agg, keyed_group_sum
-
     docs = read_table(f"{sf_dir}/documents.parquet",
                       columns=["doc_id", "text"])
 
@@ -324,9 +314,8 @@ def tfidf_top_terms(sf_dir: str, k: int = 3,
         return keyed_group_sum(df, ["term"], ["df"]) \
             .astype({"df": "int64"})
 
-    dft = bucketed_agg(docs.map_batches(df_partial,
-                                        batch_format="pandas"),
-                       ["term"], df_combine).to_pandas()  # vocab-bounded
+    dft = combine(docs.map_batches(df_partial, batch_format="pandas"),
+                  "term", df_combine).to_pandas()  # vocab-bounded
     # N: docs with >= 1 token — fold the per-batch partial counts
     # (each batch emits its nd on every row; recompute exactly from a
     # dedicated pass to avoid double counting)
@@ -386,8 +375,6 @@ def _df_table(sf_dir: str, with_stats: bool = False):
     through the bucketed combine, so bm25 needs TWO corpus passes
     (stats+df, then scoring) instead of three; returns
     (counts_df, n_docs, n_tokens)."""
-    from .util import bucketed_agg, keyed_group_sum
-
     docs = read_table(f"{sf_dir}/documents.parquet",
                       columns=["doc_id", "text"])
 
@@ -432,8 +419,8 @@ def _df_table(sf_dir: str, with_stats: bool = False):
         return keyed_group_sum(df, ["kind", "term"], ["tf", "df"]) \
             .astype({"kind": "int64", "tf": "int64", "df": "int64"})
 
-    res = bucketed_agg(docs.map_batches(partial, batch_format="pandas"),
-                       ["kind", "term"], comb).to_pandas()
+    res = combine(docs.map_batches(partial, batch_format="pandas"),
+                  ["kind", "term"], comb).to_pandas()
     if res.empty or "kind" not in res.columns:
         # 0-row corpus: Ray drops the pandas block schema entirely
         res = pd.DataFrame({"kind": pd.Series([], dtype="int64"),
@@ -511,8 +498,6 @@ def bm25_topk(sf_dir: str, n_query_terms: int = 3, k: int = 20,
     """
     import ray
 
-    from .util import coalesce_partials
-
     counts, N, n_toks = _df_table(sf_dir, with_stats=True)
     empty = pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
                           "dl": pd.Series([], dtype="int64"),
@@ -559,8 +544,7 @@ def bm25_topk(sf_dir: str, n_query_terms: int = 3, k: int = 20,
         return out.sort_values(["score", "doc_id"],
                                ascending=[False, True]).head(k)
 
-    parts = coalesce_partials(docs.map_batches(score,
-                                               batch_format="pandas"))
+    parts = docs.map_batches(score, batch_format="pandas")
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
@@ -613,8 +597,6 @@ def corpus_summary(sf_dir: str, round_to: int = 6) -> pd.DataFrame:
     """
     import hashlib
 
-    from .util import bucketed_agg, combine_bounded
-
     counts, n_nonempty, n_tokens = _df_table(sf_dir, with_stats=True)
     vocab = int(len(counts))
 
@@ -649,9 +631,8 @@ def corpus_summary(sf_dir: str, round_to: int = 6) -> pd.DataFrame:
             "n_docs": pd.Series([int(df["n_docs"].sum())],
                                 dtype="int64")})
 
-    parts = bucketed_agg(docs.map_batches(partial,
-                                          batch_format="pandas"),
-                         ["h"], comb)
+    parts = combine(docs.map_batches(partial, batch_format="pandas"),
+                    "h", comb).to_pandas()
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
@@ -676,8 +657,4 @@ def corpus_summary(sf_dir: str, round_to: int = 6) -> pd.DataFrame:
             "dup_rate": pd.Series([dup], dtype="float64"),
             "mean_doc_len": pd.Series([mean_len], dtype="float64")})
 
-    out = combine_bounded(parts, final).to_pandas()
-    # 0-row corpus: the combine may never see a block — emit the same
-    # one-row zero card the SQL mirror's aggregates produce
-    return out if not out.empty else final(pd.DataFrame(
-        {"n_h": [], "langs": [], "sources": [], "n_docs": []}))
+    return final(parts)

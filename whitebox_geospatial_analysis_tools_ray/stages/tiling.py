@@ -44,7 +44,7 @@ def tile_counts(sf_dir: str, width: float = 250.0,
 
     partials = pts.map_batches(partial, batch_format="numpy")
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("tile_id", sort=True).agg(
             n_points=("n", "sum"), sum_z=("s", "sum"),
             min_z=("mn", "min"), max_z=("mx", "max")).reset_index()
@@ -52,8 +52,8 @@ def tile_counts(sf_dir: str, width: float = 250.0,
         g["sum_z"] = g["sum_z"].round(6)
         return g
 
-    from .util import combine_bounded
-    return combine_bounded(partials, combine), grid
+    from .util import combine
+    return combine(partials, "tile_id", fold), grid
 
 
 def hex_counts(sf_dir: str, width: float = 250.0):
@@ -71,10 +71,10 @@ def hex_counts(sf_dir: str, width: float = 250.0):
 
     partials = pts.map_batches(partial, batch_format="numpy")
 
-    def combine(df):
+    def fold(df):
         g = df.groupby("hex_id", sort=True)["n"].sum().reset_index()
         return g.rename(columns={"n": "n_points"}).astype(
             {"n_points": "int64"})
 
-    from .util import combine_bounded
-    return combine_bounded(partials, combine), grid
+    from .util import combine
+    return combine(partials, "hex_id", fold), grid

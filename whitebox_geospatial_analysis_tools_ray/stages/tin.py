@@ -42,6 +42,7 @@ import ray.data as rd
 from ..core.delaunay import delaunay, delaunay_neighbors, voronoi_cell
 from ..core.rng import EAST, NORTH, SOUTH, WEST
 from .points import read_points
+from .util import combine, groupwise_combine
 
 TILE = 2000.0     # square TIN tile size
 MARGIN = 800.0    # ghost margin ≥ max circumradius (see module docstring)
@@ -152,8 +153,8 @@ def construct_tin(sf_dir: str, round_to: int = 6) -> "rd.Dataset":
                              "n_triangles": [n_tri],
                              "area_sum": [round(area, round_to)]})
 
-    return (tin_point_groups(sf_dir).groupby("tile")
-            .map_groups(per_tile, batch_format="pandas").sort("tile"))
+    return combine(tin_point_groups(sf_dir), "tile",
+                   groupwise_combine(per_tile, "tile")).sort("tile")
 
 
 def voronoi_areas(sf_dir: str, round_to: int = 6) -> "rd.Dataset":
@@ -187,8 +188,8 @@ def voronoi_areas(sf_dir: str, round_to: int = 6) -> "rd.Dataset":
             out_area.append(round(float(area), round_to))
         return pd.DataFrame({"rec_id": out_id, "cell_area": out_area})
 
-    return (tin_point_groups(sf_dir).groupby("tile")
-            .map_groups(per_tile, batch_format="pandas").sort("rec_id"))
+    return combine(tin_point_groups(sf_dir), "tile",
+                   groupwise_combine(per_tile, "tile")).sort("rec_id")
 
 
 def rasterize_tin(sf_dir: str, grid: int = 120,
@@ -243,8 +244,8 @@ def rasterize_tin(sf_dir: str, grid: int = 120,
             "cell": ((crow[rows] * np.int64(grid)) + ccol[cols_]),
             "z": np.round(val[rows, cols_], round_to)})
 
-    return (tin_point_groups(sf_dir).groupby("tile")
-            .map_groups(per_tile, batch_format="pandas").sort("cell"))
+    return combine(tin_point_groups(sf_dir), "tile",
+                   groupwise_combine(per_tile, "tile")).sort("cell")
 
 
 # ---------------------------------------------------------------------------

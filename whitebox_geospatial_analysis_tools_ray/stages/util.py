@@ -12,83 +12,24 @@ def cluster_cpus() -> int:
         return 8
 
 
-def coalesce_partials(partials, num_partitions: int | None = None):
-    """Shrink a pre-aggregated partials Dataset to a few blocks before the
-    final ``groupby``.
-
-    After a per-batch combiner, partial rows number O(#groups × #input
-    blocks) — tiny relative to the scanned input — but Ray's sort-based
-    aggregate schedules one reduce task per *input block*, so feeding it
-    hundreds of near-empty blocks costs seconds of pure scheduling (the
-    dominant cost on small inputs, and wasted tasks at scale). One cheap
-    repartition keeps the heavy upstream scan fully parallel while making
-    the final shuffle a handful of tasks.
-    """
-    if num_partitions is None:
-        # Fixed CPU-scaled fan-out. (target_num_rows_per_block looks right
-        # here but its StreamingRepartition only SPLITS blocks — it never
-        # merges small ones, so it cannot shrink the reduce fan-out.)
-        num_partitions = max(2, min(16, cluster_cpus() // 2))
-    return partials.repartition(num_partitions)
-
-
-def combine_bounded(partials, combine, batch_format: str = "pandas"):
-    """Single-task final combine for BOUNDED-key aggregations.
-
-    After a per-batch combiner, partial rows number O(#keys × #blocks).
-    When the key domain is bounded by the OPERATOR (a tile grid, lag
-    bins, languages, window ids, class pairs) rather than by the data,
-    that is a few MB at any input scale — and Ray's sort-based
-    ``groupby().aggregate()`` costs seconds of FIXED wall on it (sort +
-    one reduce task per block), a pure scaling-efficiency tax measured
-    at ~4 s of 32-CPU wall on the flagship. One whole-block pandas
-    combine keeps the tail O(#keys × #blocks) and scale-independent.
-
-    Unbounded-key aggregations (exact dedup on content hashes, per-link
-    stats) must keep the distributed groupby — do NOT route them here.
-    """
-    return partials.repartition(1).map_batches(
-        combine, batch_format=batch_format, batch_size=None)
-
-
 def groupwise_combine(final, keys):
-    """Adapt a one-group ``final(g) -> DataFrame`` (as written for
-    ``groupby().map_groups``) into a whole-partials combine for
-    ``combine_bounded`` — identical per-group arithmetic, deterministic
-    key order."""
+    """Adapt a one-group ``final(g) -> DataFrame`` into a ``combine``
+    function: identical per-group arithmetic, deterministic key order."""
     import pandas as pd
 
-    def combine(df):
+    def per_groups(df):
         if len(df) == 0:
             return final(df)
         return pd.concat([final(g) for _, g in df.groupby(keys, sort=True)],
                          ignore_index=True)
 
-    return combine
-
-
-def adaptive_num_buckets(est_keys: int | None = None, per_cpu: int = 4,
-                         lo: int = 2, hi: int = 4096) -> int:
-    """Cluster/data-proportional fan-out for unbounded-key bucketed
-    combines (replaces the round-3 fixed NB=64): ~``per_cpu`` buckets
-    per cluster CPU, so the combine stage fills the cluster with
-    straggler headroom on a 256-node fleet while a 4-CPU test session
-    doesn't schedule 64 near-empty groups. Clamped to [lo, hi]; when
-    the caller can bound the key cardinality (``est_keys``), the
-    fan-out never exceeds it (extra buckets are just empty groups).
-    Results are invariant to the bucket count — every key lives in
-    exactly one bucket whatever NB is (pinned by
-    tests/test_bucket_invariance.py across NB ∈ {2, 64, 1024})."""
-    nb = per_cpu * max(1, cluster_cpus())
-    if est_keys is not None:
-        nb = min(nb, max(1, int(est_keys)))
-    return max(lo, min(hi, nb))
+    return per_groups
 
 
 def hier_counter_actor():
-    """Instrumentation actor for the hierarchical-recombine guard
-    (round-4 verdict item 3: prove the skew path is live, not
-    decorative). ``bucketed_agg(..., hier_counter=handle)`` calls
+    """Instrumentation actor for the hierarchical-recombine guard, so
+    tests and benchmarks can show the skew path runs.
+    ``combine(..., hier_counter=handle)`` calls
     ``record(bucket_rows, n_slices, max_slice_rows)`` every time a
     bucket takes the hierarchical path."""
     import ray
@@ -109,56 +50,116 @@ def hier_counter_actor():
     return _HierCounter.remote()
 
 
-def bucketed_agg(partials, keys, combine, num_buckets: int | None = None,
-                 batch_format: str = "pandas",
-                 recombine=None,
-                 max_bucket_rows: int = 4_000_000,
-                 hier_counter=None):
-    """Distributed combine for UNBOUNDED-key aggregations.
+# Partial rows one pandas task combines before ``combine`` fans out. On a
+# 1-CPU host a pandas groupby-sum takes 0.03 s over 100 k rows and
+# 0.2 s (int keys) / 0.5 s (md5 keys) over 1 M rows, so a 250 k-row task
+# stays well under a second while one task per combine keeps small
+# inputs free of shuffle scheduling.
+COMBINE_TASK_ROWS = 250_000
 
-    Ray's sort-based ``groupby().aggregate()`` / per-key ``map_groups``
-    pays ~1 ms of per-group Python machinery (measured: 4.8 s for 4.7k
-    md5 groups, 24 s for 25k ngram groups at sf0.1), so aggregations
-    whose key domain grows with the data hash-bucket the key columns
-    into a BOUNDED shuffle key and run one vectorized pandas
-    ``combine(bucket_df) -> DataFrame`` per bucket. ``combine`` sees
-    all partial rows of every key in its bucket (each key lives in
-    exactly one bucket) and must do the per-key reduction itself
-    (``df.groupby(keys).agg(...)``), vectorized.
 
-    ``num_buckets=None`` (the default) resolves the fan-out via
-    ``adaptive_num_buckets()`` — cluster-proportional instead of the
-    former fixed 64. When the caller passes
-    ``recombine(combined_df) -> DataFrame`` (a reducer over
-    ``combine``'s OUTPUT schema), a bucket whose partial rows exceed
-    ``max_bucket_rows`` is reduced HIERARCHICALLY: the bucket is
-    key-sorted and sliced on KEY-GROUP boundaries (a key never splits
-    across slices — a single key group larger than the cap stays
-    whole), ``combine`` runs per slice, then one ``recombine`` folds
-    the slice outputs. Key-snapped slicing means ``recombine`` only
-    ever merges DISJOINT key sets, so even per-bucket SUMMARY combines
-    (one output row per bucket, keys dropped — pages_exact_dedup) are
-    algebraic here; it also bounds the pandas groupby hash-table
-    intermediates per combine call under key skew.
+def combine(ds, keys, fn, recombine=None, *, num_buckets=None,
+            max_bucket_rows: int = 4_000_000, hier_counter=None,
+            batch_format: str = "pandas"):
+    """The engine's one keyed combine: every partial aggregation, top-k,
+    keyed reduction and co-group ends here.
 
-    ``hier_counter``: optional ``hier_counter_actor()`` handle;
-    receives ``record(bucket_rows, n_slices, max_slice_rows)`` per
-    hierarchical engagement (tests/bench prove the guard is live).
+    ``fn(df) -> DataFrame`` receives all rows of one or more WHOLE key
+    groups (every row sharing a ``keys`` value arrives in the same call)
+    and does the per-key work itself, vectorized. Wrap a one-group
+    ``final(g)`` with :func:`groupwise_combine`. ``keys=()`` means one
+    global group: ``fn`` sees every row in one call.
+
+    Fan-out (``num_buckets=None``) is decided from the data: the input is
+    materialized and its row count read (metadata after ``materialize``;
+    the all-to-all below materializes it anyway, and the stats chain is
+    kept).
+      * ``keys=()`` or ≤ ``COMBINE_TASK_ROWS`` rows: one
+        ``repartition(1)`` task with ``batch_size=None``. Ray's sort-based
+        groupby costs ~1–10 ms of Python per group plus one reduce task
+        per block, seconds of fixed wall on a few thousand partial rows.
+      * more rows: ``max(4·cluster_cpus(), ceil(rows / COMBINE_TASK_ROWS))``
+        hash buckets, so the fan-out grows with the partials (at 100 TB a
+        single task would get ~10⁹ flagship partial rows). The buckets
+        spread over ``min(buckets, input blocks)`` sorted tasks and
+        ``fn`` runs once per task, on whole buckets.
+    On a 1-CPU host, routing the ~10.6 k partial rows of a 62.5 k-page
+    skewed dedup through one task instead of 4 sorted buckets moved
+    pages/s from 114/121/102/103 k to 152/144/141/147 k in four
+    alternating pairs; the flagship (~7 k partial rows) stayed at
+    101/110/91/112 k vs 95/107/106/112 k.
+
+    An explicit ``num_buckets`` always takes the bucketed path. Buckets
+    hash the key columns with string keys NUL-escaped first
+    (``hash_pandas_object`` merges keys at an embedded NUL, so the same
+    key could land in different buckets from different blocks); results
+    are invariant to the bucket count.
+
+    When ``recombine(fn_output) -> DataFrame`` is given, a task's input
+    above ``max_bucket_rows`` rows is reduced
+    hierarchically: key-sorted, sliced on key-group boundaries (a key
+    never splits; a single group larger than the cap stays whole), ``fn``
+    runs per slice and one ``recombine`` folds the slice outputs. Slices
+    hold disjoint key sets, so even per-bucket summary combines (keys
+    dropped, as in ``pages_exact_dedup``) stay exact, and the pandas
+    hash tables per call stay bounded under key skew. ``hier_counter``
+    (a :func:`hier_counter_actor`) receives
+    ``record(bucket_rows, n_slices, max_slice_rows)`` per engagement.
     """
+    import math
+
     import numpy as np
     import pandas as pd
 
-    if num_buckets is None:
-        num_buckets = adaptive_num_buckets()
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    if keys:
+        ds = ds.materialize()
+        rows = ds.count()
+        if num_buckets is None and rows > COMBINE_TASK_ROWS:
+            num_buckets = max(4 * cluster_cpus(),
+                              math.ceil(rows / COMBINE_TASK_ROWS))
+
+    def guarded(g: "pd.DataFrame") -> "pd.DataFrame":
+        if recombine is None or not keys or len(g) <= max_bucket_rows:
+            return fn(g)
+        g = g.sort_values(keys, kind="mergesort", ignore_index=True)
+        kdf = g[keys]
+        new_key = (kdf != kdf.shift()).any(axis=1).to_numpy()
+        new_key[0] = True
+        starts = np.flatnonzero(new_key)     # key-group starts
+        bounds = [0]
+        while bounds[-1] < len(g):
+            i = bounds[-1]
+            target = i + max_bucket_rows
+            if target >= len(g):
+                bounds.append(len(g))
+                break
+            # last group start <= target; if that group began at or
+            # before i the CURRENT key alone exceeds the cap — keep it
+            # whole (extend to the next group start)
+            p = int(np.searchsorted(starts, target, side="right")) - 1
+            j = int(starts[p])
+            if j <= i:
+                nx = int(np.searchsorted(starts, i, side="right"))
+                j = int(starts[nx]) if nx < len(starts) else len(g)
+            bounds.append(j)
+        parts = [fn(g.iloc[a:b]) for a, b in zip(bounds, bounds[1:])]
+        if hier_counter is not None:
+            import ray
+            # synchronous: the event must be recorded before this task
+            # completes, or a driver-side get() races ahead of the
+            # actor's inbox
+            ray.get(hier_counter.record.remote(
+                len(g), len(parts),
+                max(b - a for a, b in zip(bounds, bounds[1:]))))
+        return recombine(pd.concat(parts, ignore_index=True))
+
+    if num_buckets is None or not keys:
+        return ds.repartition(1).map_batches(
+            guarded, batch_format=batch_format, batch_size=None)
 
     def add_bucket(df: "pd.DataFrame") -> "pd.DataFrame":
-        # NUL-escape string key columns BEFORE hashing:
-        # hash_pandas_object(categorize=True) factorizes via pandas'
-        # C-string hashtable, which MERGES keys with embedded NULs and
-        # then hashes whichever full string was first-seen in the
-        # batch — so the same key could land in different buckets from
-        # different batches and never combine (see util.escape_nul)
-        kdf = df[list(keys)]
+        kdf = df[keys]
         esc = {c: escape_nul(kdf[c].astype(str))
                for c in kdf.columns if kdf[c].dtype == object}
         if esc:
@@ -166,49 +167,19 @@ def bucketed_agg(partials, keys, combine, num_buckets: int | None = None,
         h = pd.util.hash_pandas_object(kdf, index=False).to_numpy()
         return df.assign(__bucket__=(h % num_buckets).astype("int64"))
 
-    def comb(g: "pd.DataFrame") -> "pd.DataFrame":
-        g = g.drop(columns="__bucket__")
-        if recombine is not None and len(g) > max_bucket_rows:
-            key_cols = list(keys)
-            g = g.sort_values(key_cols, kind="mergesort",
-                              ignore_index=True)
-            kdf = g[key_cols]
-            new_key = (kdf != kdf.shift()).any(axis=1).to_numpy()
-            new_key[0] = True
-            starts = np.flatnonzero(new_key)     # key-group starts
-            bounds = [0]
-            while bounds[-1] < len(g):
-                i = bounds[-1]
-                target = i + max_bucket_rows
-                if target >= len(g):
-                    bounds.append(len(g))
-                    break
-                # last group start <= target; if that group began at or
-                # before i the CURRENT key alone exceeds the cap — keep
-                # it whole (extend to the next group start)
-                p = int(np.searchsorted(starts, target, side="right")) - 1
-                j = int(starts[p])
-                if j <= i:
-                    nx = int(np.searchsorted(starts, i, side="right"))
-                    j = int(starts[nx]) if nx < len(starts) else len(g)
-                bounds.append(j)
-            parts = [combine(g.iloc[a:b])
-                     for a, b in zip(bounds, bounds[1:])]
-            if hier_counter is not None:
-                import ray
-                # synchronous: the event must be recorded before this
-                # combine task completes, or a driver-side get() races
-                # ahead of the actor's inbox
-                ray.get(hier_counter.record.remote(
-                    len(g), len(parts),
-                    max(b - a for a, b in zip(bounds, bounds[1:]))))
-            return recombine(pd.concat(parts, ignore_index=True))
-        return combine(g)
+    def per_task(df: "pd.DataFrame") -> "pd.DataFrame":
+        return guarded(df.drop(columns="__bucket__"))
 
-    return (coalesce_partials(
-                partials.map_batches(add_bucket, batch_format=batch_format))
-            .groupby("__bucket__")
-            .map_groups(comb, batch_format=batch_format))
+    # a sort makes one task per input block and blocks² intermediate
+    # objects, so the buckets spread over at most as many tasks as the
+    # partials arrive in; each sorted block holds whole buckets, and fn
+    # runs once per block (one call per bucket would cost Ray's ~1–10 ms
+    # per group again)
+    return (ds.map_batches(add_bucket, batch_format="pandas")
+            .repartition(min(num_buckets, ds.num_blocks()))
+            .sort("__bucket__")
+            .map_batches(per_task, batch_format=batch_format,
+                         batch_size=None))
 
 
 def escape_nul(s):
@@ -263,9 +234,8 @@ def keyed_group_sum(df, keys, vals, sort=False):
     restored on the result. Non-object key columns pass through
     untouched, so mixed keys like ``["key", "is_big"]`` work.
 
-    Round-4 verdict item 6 closed structurally: raw ``.groupby`` on a
-    token-named key anywhere else in ``stages/`` fails
-    ``tests/test_nul_lint.py``.
+    Raw ``.groupby`` on a token-named key anywhere else in ``stages/``
+    fails ``tests/test_nul_lint.py``.
 
     Returns ``df.groupby(keys)[vals].sum().reset_index()`` — vals as
     columns (callers re-``astype`` as needed).
@@ -287,8 +257,8 @@ def keyed_group_sum(df, keys, vals, sort=False):
 # spaces) while Python's str-mode \s and argless str.strip() cover 19
 # codepoints. Every impl tokenizer splits/strips with THESE so text
 # carrying exotic whitespace tokenizes identically on both sides
-# (round-4 audit: 9 token-family queries diverged on an NBSP fixture
-# before this; pinned by tests/test_ws_boundary_r4.py).
+# (9 token-family queries diverged on an NBSP fixture before this;
+# pinned by tests/test_ws_boundary_r4.py).
 # ---------------------------------------------------------------------------
 SQL_WS = "\t\n\f\r "
 

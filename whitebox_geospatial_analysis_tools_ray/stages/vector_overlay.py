@@ -11,8 +11,7 @@ Without a JTS equivalent in this environment the engine covers:
 - arbitrary polygon features vs a CONVEX clip ring via Sutherland–
   Hodgman (core.geom.clip_convex) with shoelace areas, verified by
   geometric invariants in tests.
-The general concave-vs-concave overlay is documented out of scope for
-round 1 (tracked in SURVEY.md §7.5).
+The general concave-vs-concave overlay is tracked in SURVEY.md §7.5.
 
 Distributed shape: the clip layer is tiny → broadcast (closure floats /
 ray.put); features stream through a stateless ``map_batches``. Per-tile
@@ -178,15 +177,16 @@ def dissolve_union_area(sf_dir: str, n_groups: int = DISSOLVE_GROUPS,
         return batch
 
     def per_group(df: "pd.DataFrame") -> "pd.DataFrame":
+        df = df.sort_values("rec_id")   # fixed union order
         polys = [[_l_ring(r.xa, r.ya, r.h, r.w2)]
                  for r in df.itertuples(index=False)]
         return pd.DataFrame({
             "gid": [int(df["gid"].iloc[0])],
             "union_area": [round(union_area_many(polys), round_to)]})
 
-    return (ls.map_batches(add_gid, batch_format="numpy")
-            .groupby("gid").map_groups(per_group, batch_format="pandas")
-            .sort("gid"))
+    from .util import combine, groupwise_combine
+    return combine(ls.map_batches(add_gid, batch_format="numpy"), "gid",
+                   groupwise_combine(per_group, "gid")).sort("gid")
 
 
 def clip_polygons_convex(polys: list[dict], clip_ring: np.ndarray,
@@ -216,8 +216,7 @@ def clip_polygons_convex(polys: list[dict], clip_ring: np.ndarray,
 # Fuse (VectorTools/src/plugins/Fuse.java, 938 LoC): merge TOUCHING
 # features — JTS union with the reference's parent-match predicate
 # ``overlaps || covers || distance < 0.0001`` (Fuse.java:400-403).
-# Round 2: the explicit touching-closure query the round-1 dissolve
-# family lacked.
+# The explicit touching-closure query the dissolve family lacked.
 # ---------------------------------------------------------------------------
 
 FUSE_EPS = 1e-4
@@ -270,7 +269,7 @@ def fuse_touching(sf_dir: str, round_to: int = 4) -> pd.DataFrame:
     the transitive closure runs as a driver union-find over that
     compact list (the clump boundary-merge pattern); component labels
     broadcast once; per-component union area via a
-    ``groupby(label).map_groups`` grid decomposition. Exact SQL
+    ``util.combine`` grid decomposition keyed on the label. Exact SQL
     oracle (recursive-CTE closure + the same decomposition)."""
     import ray
 
@@ -308,31 +307,12 @@ def fuse_touching(sf_dir: str, round_to: int = 4) -> pd.DataFrame:
         ia, ib = np.nonzero(touch & (r[:, None] < r[None, :]))
         return pd.DataFrame({"a": r[ia], "b": r[ib]})
 
-    # gkey counts grow with the extent — bucket them (bounded-shuffle
-    # rule) and run all of a bucket's cells in one pandas pass: Ray's
-    # per-group machinery was ~1 s over ~960 grid cells
-    from .util import adaptive_num_buckets
-    NBK = adaptive_num_buckets()
-
-    def add_ebucket(df: pd.DataFrame) -> pd.DataFrame:
-        df["ebucket"] = (df["gkey"].to_numpy()
-                         * 2654435761 % NBK).astype("int64")
-        return df
-
-    def per_bucket_edges(g: pd.DataFrame) -> pd.DataFrame:
-        outs = [_cell_edges(sub) for _, sub in g.groupby("gkey",
-                                                         sort=False)]
-        return (pd.concat(outs, ignore_index=True) if outs else
-                pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                              "b": pd.Series([], dtype="int64")}))
-
-    from .util import coalesce_partials
-    edges = (coalesce_partials(boxes.map_batches(emit,
-                                                 batch_format="numpy")
-                               .map_batches(add_ebucket,
-                                            batch_format="pandas"))
-             .groupby("ebucket").map_groups(per_bucket_edges,
-                                            batch_format="pandas")
+    # gkey counts grow with the extent — util.combine runs many cells in
+    # one pandas pass: Ray's per-group machinery was ~1 s over ~960 grid
+    # cells
+    from .util import combine, groupwise_combine
+    edges = (combine(boxes.map_batches(emit, batch_format="numpy"), "gkey",
+                     groupwise_combine(_cell_edges, "gkey"))
              .to_pandas().drop_duplicates())
 
     if "a" not in edges.columns:      # no touching pairs at all
@@ -356,23 +336,20 @@ def fuse_touching(sf_dir: str, round_to: int = 4) -> pd.DataFrame:
     labels = {x: find(x) for x in parent}
     lbl_ref = ray.put(labels)
 
-    from .util import adaptive_num_buckets
-    NB = adaptive_num_buckets()
-
     def tag(batch) -> pd.DataFrame:
         lut = ray.get(lbl_ref) if not isinstance(lbl_ref, dict) else lbl_ref
         rec = np.asarray(batch["rec_id"], dtype=np.int64)
         lbl = np.array([lut.get(int(x), int(x)) for x in rec],
                        dtype=np.int64)
         return pd.DataFrame({
-            "bucket": lbl % NB, "lbl": lbl,
+            "lbl": lbl,
             "xmin": batch["xmin"], "ymin": batch["ymin"],
             "xmax": batch["xmax"], "ymax": batch["ymax"]})
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # components ≈ features, so group on a BOUNDED bucket key and
-        # reduce each component inside one pandas pass (Ray's
-        # per-group machinery at ~3 ms × 5k labels was the stage cost)
+        # components ≈ features: reduce many components inside one
+        # pandas pass (Ray's per-group machinery at ~3 ms × 5k labels
+        # was the stage cost)
         ids, members, areas = [], [], []
         for lbl, sub in g.groupby("lbl", sort=False):
             ids.append(int(lbl))
@@ -385,9 +362,8 @@ def fuse_touching(sf_dir: str, round_to: int = 4) -> pd.DataFrame:
             "n_members": np.asarray(members, dtype=np.int64),
             "fused_area": np.asarray(areas, dtype=np.float64)})
 
-    out = (coalesce_partials(boxes.map_batches(tag, batch_format="numpy"))
-           .groupby("bucket").map_groups(per_bucket, batch_format="pandas")
-           .to_pandas())
+    out = combine(boxes.map_batches(tag, batch_format="numpy"), "lbl",
+                  per_bucket).to_pandas()
     if len(out) == 0:       # empty layer -> typed empty components
         return pd.DataFrame({"component_id": pd.Series([], dtype="int64"),
                              "n_members": pd.Series([], dtype="int64"),

@@ -26,7 +26,7 @@ import pandas as pd
 import ray.data as rd
 
 from .raster import NODATA, RasterSpec, synth_value
-from .util import coalesce_partials
+from .util import combine, groupwise_combine
 
 N_CLASSES = 6
 CLASS_WIDTH = 175.0
@@ -136,8 +136,8 @@ def raster_to_polygons(spec: RasterSpec | None = None) -> "rd.Dataset":
                              "area": [area2 // 2]})
 
     ds = rd.range(spec.n_tiles).map_batches(edges, batch_format="numpy")
-    return (coalesce_partials(ds).groupby("value")
-            .map_groups(per_value, batch_format="pandas").sort("value"))
+    return combine(ds, "value",
+                   groupwise_combine(per_value, "value")).sort("value")
 
 
 def raster_to_polygons_naive(spec: RasterSpec) -> pd.DataFrame:
@@ -308,8 +308,8 @@ def contour_polylines(spec: RasterSpec | None = None,
                              "total_length": [round(length, round_to)]})
 
     ds = rd.range(spec.n_tiles).map_batches(segs, batch_format="numpy")
-    return (coalesce_partials(ds).groupby("level")
-            .map_groups(per_level, batch_format="pandas").sort("level"))
+    return combine(ds, "level",
+                   groupwise_combine(per_level, "level")).sort("level")
 
 
 def contour_polylines_naive(spec: RasterSpec,
@@ -330,9 +330,8 @@ def contour_polylines_naive(spec: RasterSpec,
 
 # ---------------------------------------------------------------------------
 # RasterToVectorLines (ConversionTools/src/plugins/RasterToVectorLines
-# .java:270-482, 520 LoC) — round 2: the GENERIC line tracer (no D8
-# pointer), closing the round-1 partial that only had the
-# streams_to_vector pointer walk.
+# .java:270-482, 520 LoC): the GENERIC line tracer (no D8 pointer),
+# beyond the streams_to_vector pointer walk.
 #
 # Four loops, replicated exactly:
 #  1 (:270-301, stateless stencil on the INPUT): a foreground cell
