@@ -166,7 +166,8 @@ def test_pages_exact_dedup_hierarchical_skew():
 def test_default_fanout_is_adaptive(monkeypatch):
     """Above ``COMBINE_TASK_ROWS`` partial rows the default fan-out is
     max(4·CPUs, ceil(rows / COMBINE_TASK_ROWS)) buckets over
-    min(buckets, input blocks) tasks, read from ``Dataset.stats()``."""
+    min(buckets, max(4·CPUs, input blocks)) tasks, read from
+    ``Dataset.stats()``."""
     import math
 
     from test_combine import combine_tasks
@@ -176,8 +177,9 @@ def test_default_fanout_is_adaptive(monkeypatch):
     monkeypatch.setattr(util, "COMBINE_TASK_ROWS", 50)
     parts = _partials().repartition(128).materialize()
     buckets = max(4 * cpus, math.ceil(3000 / 50))
-    assert combine_tasks(combine(parts, ["key"], fold)) == min(buckets, 128)
-    assert min(buckets, 128) >= 4 * cpus
+    tasks = min(buckets, max(4 * cpus, 128))
+    assert combine_tasks(combine(parts, ["key"], fold)) == tasks
+    assert tasks >= 4 * cpus
 
 
 def test_exact_dedup_unchanged_under_adaptive_fanout(duck):

@@ -72,6 +72,24 @@ def test_large_input_fans_out(ray_session, monkeypatch):
                                   check_dtype=False)
 
 
+def test_one_block_input_fans_out(ray_session, monkeypatch):
+    """The task count does not shrink to the input's block count: a
+    combine fed by an earlier one-task combine gets one block, and above
+    the threshold it still runs min(buckets, 4·CPUs) tasks or more."""
+    import math
+
+    monkeypatch.setattr(util, "COMBINE_TASK_ROWS", 100)
+    one_block = combine(_partials(3000), (), lambda df: df)
+    assert one_block.materialize().num_blocks() == 1
+    buckets = max(4 * util.cluster_cpus(), math.ceil(3000 / 100))
+    out = combine(one_block, "k", _fold_fn())
+    assert combine_tasks(out) >= min(buckets, 4 * util.cluster_cpus())
+    got = out.to_pandas().sort_values("k").reset_index(drop=True)
+    want = _fold_fn()(_partials(3000).to_pandas()).sort_values("k")
+    pd.testing.assert_frame_equal(got, want.reset_index(drop=True),
+                                  check_dtype=False)
+
+
 def test_stats_keep_upstream_operators(ray_session):
     """``combine`` materializes its input; the upstream operators stay
     in the output's stats chain."""
@@ -87,8 +105,9 @@ FAMILIES = ["pages_flagship", "flagship", "exact_dedup", "ann_cosine_topk",
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_forced_fanout_matches_oracle(name, duck, monkeypatch):
-    """Every keyed combine of the query takes the bucketed path (more
-    than one bucket per combine) and the result is still exact."""
+    """Every keyed combine of the query above one row takes the bucketed
+    path, over at least 4·CPUs tasks (``test_one_block_input_fans_out``
+    pins the count), and the result is still exact."""
     import __ray_entry__ as entry_mod
     monkeypatch.setattr(util, "COMBINE_TASK_ROWS", 1)
     impl, oracle = entry_mod.registry()[name]

@@ -161,14 +161,21 @@ def empirical_variogram(points: "rd.Dataset",
                                    sd=("d", "sum"))
         return gg.reset_index()
 
-    parts = combine(dup, "gkey", groupwise_combine(partial, "gkey")).to_pandas()
-    if len(parts) == 0:     # empty layer -> typed empty variogram
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
+        # sorted first, so the float sums do not depend on the order the
+        # per-cell partials arrive in
+        df = df.sort_values(["bin", "ssq", "sd", "n"], ignore_index=True)
+        return (df.groupby("bin", sort=True)[["n", "ssq", "sd"]].sum()
+                .reset_index())
+
+    parts = combine(dup, "gkey", groupwise_combine(partial, "gkey"))
+    tot = combine(parts, "bin", fold).to_pandas()
+    if len(tot) == 0:       # empty layer -> typed empty variogram
         return pd.DataFrame({"bin": pd.Series([], dtype="int64"),
                              "n": pd.Series([], dtype="int64"),
                              "gamma": pd.Series([], dtype="float64"),
                              "mean_dist": pd.Series([], dtype="float64")})
-    tot = (parts.groupby("bin", sort=True)[["n", "ssq", "sd"]].sum()
-           .reset_index())
+    tot = tot.sort_values("bin", ignore_index=True)
     tot["gamma"] = tot["ssq"] / tot["n"]
     tot["mean_dist"] = tot["sd"] / tot["n"]
     return tot[["bin", "n", "gamma", "mean_dist"]]

@@ -59,13 +59,13 @@ COMBINE_TASK_ROWS = 250_000
 
 
 def combine(ds, keys, fn, recombine=None, *, num_buckets=None,
-            max_bucket_rows: int = 4_000_000, hier_counter=None,
-            batch_format: str = "pandas"):
+            max_bucket_rows: int = 4_000_000, hier_counter=None):
     """The engine's one keyed combine: every partial aggregation, top-k,
     keyed reduction and co-group ends here.
 
-    ``fn(df) -> DataFrame`` receives all rows of one or more WHOLE key
-    groups (every row sharing a ``keys`` value arrives in the same call)
+    ``fn(df) -> DataFrame`` receives a pandas frame of all rows of one or
+    more WHOLE key groups (every row sharing a ``keys`` value arrives in
+    the same call)
     and does the per-key work itself, vectorized. Wrap a one-group
     ``final(g)`` with :func:`groupwise_combine`. ``keys=()`` means one
     global group: ``fn`` sees every row in one call.
@@ -81,8 +81,11 @@ def combine(ds, keys, fn, recombine=None, *, num_buckets=None,
       * more rows: ``max(4·cluster_cpus(), ceil(rows / COMBINE_TASK_ROWS))``
         hash buckets, so the fan-out grows with the partials (at 100 TB a
         single task would get ~10⁹ flagship partial rows). The buckets
-        spread over ``min(buckets, input blocks)`` sorted tasks and
-        ``fn`` runs once per task, on whole buckets.
+        spread over ``min(buckets, max(4·cluster_cpus(), input blocks))``
+        sorted tasks and ``fn`` runs once per task, on whole buckets. The
+        task count does not shrink with the input's blocks: a combine fed
+        by an earlier one-task combine arrives as one block and still
+        gets ≥ 4·CPUs tasks.
     On a 1-CPU host, routing the ~10.6 k partial rows of a 62.5 k-page
     skewed dedup through one task instead of 4 sorted buckets moved
     pages/s from 114/121/102/103 k to 152/144/141/147 k in four
@@ -156,7 +159,7 @@ def combine(ds, keys, fn, recombine=None, *, num_buckets=None,
 
     if num_buckets is None or not keys:
         return ds.repartition(1).map_batches(
-            guarded, batch_format=batch_format, batch_size=None)
+            guarded, batch_format="pandas", batch_size=None)
 
     def add_bucket(df: "pd.DataFrame") -> "pd.DataFrame":
         kdf = df[keys]
@@ -170,16 +173,16 @@ def combine(ds, keys, fn, recombine=None, *, num_buckets=None,
     def per_task(df: "pd.DataFrame") -> "pd.DataFrame":
         return guarded(df.drop(columns="__bucket__"))
 
-    # a sort makes one task per input block and blocks² intermediate
-    # objects, so the buckets spread over at most as many tasks as the
-    # partials arrive in; each sorted block holds whole buckets, and fn
-    # runs once per block (one call per bucket would cost Ray's ~1–10 ms
-    # per group again)
+    # a sort makes one task per input block and tasks² intermediate
+    # objects, so the buckets spread over 4·CPUs tasks, or as many as the
+    # partials arrive in when that is more; each sorted block holds whole
+    # buckets, and fn runs once per block (one call per bucket would cost
+    # Ray's ~1–10 ms per group again)
+    tasks = min(num_buckets, max(4 * cluster_cpus(), ds.num_blocks()))
     return (ds.map_batches(add_bucket, batch_format="pandas")
-            .repartition(min(num_buckets, ds.num_blocks()))
+            .repartition(tasks)
             .sort("__bucket__")
-            .map_batches(per_task, batch_format=batch_format,
-                         batch_size=None))
+            .map_batches(per_task, batch_format="pandas", batch_size=None))
 
 
 def escape_nul(s):
