@@ -1,4 +1,7 @@
+import atexit
+import glob
 import os
+import shutil
 import tempfile
 
 import duckdb
@@ -17,6 +20,9 @@ TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
 # temp files.
 DUCKDB_SPILL_DIR = os.path.join(tempfile.gettempdir(),
                                 f"duckdb-spill-{os.getpid()}")
+# removed when this process exits: a pytest session, or a script that
+# imports duck_connect (tools/parity_sweep.py)
+atexit.register(shutil.rmtree, DUCKDB_SPILL_DIR, ignore_errors=True)
 
 
 def duck_connect() -> duckdb.DuckDBPyConnection:
@@ -24,8 +30,33 @@ def duck_connect() -> duckdb.DuckDBPyConnection:
     return duckdb.connect(config={"temp_directory": DUCKDB_SPILL_DIR})
 
 
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:     # alive, owned by another user
+        return True
+    return True
+
+
+def _remove_stale_spill_dirs() -> None:
+    """Remove the spill directories of processes that no longer run: a
+    killed run never reaches its exit hook, and one IVF oracle alone
+    leaves several GB behind."""
+    pattern = os.path.join(tempfile.gettempdir(), "duckdb-spill-*")
+    for path in glob.glob(pattern):
+        pid = path.rsplit("-", 1)[1]
+        if pid.isdigit() and not _pid_alive(int(pid)):
+            shutil.rmtree(path, ignore_errors=True)
+
+
 def pytest_configure(config):
     config.addinivalue_line("markers", "no_ray: the test needs no Ray session")
+
+
+def pytest_sessionstart(session):
+    _remove_stale_spill_dirs()
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -120,7 +120,7 @@ def test_pages_flagship_skewed_matches_naive(tmp_path, ray_session):
     pd.testing.assert_frame_equal(got, want)
 
 
-# --- vectorized extractor equivalence (round 3) ---------------------------
+# --- vectorized extractor equivalence ------------------------------------
 
 def test_extract_texts_template_corpus():
     import pyarrow as pa

@@ -32,9 +32,10 @@ def zone_tile_counts(ds: "rd.Dataset", points, tile_width: float,
 
     Per batch: ``points(batch) -> (x, y, w)`` → PIP pairs against the
     broadcast polygon zones (index cached per worker process) → tile id
-    → partial (count, Σw) per (tile, zone); ``w`` may be None when only
-    counts are wanted. One task pass per batch, then one bounded-key
-    combine. Returns (tile_id, zone_id, <count_col>[, <sum_col>]).
+    → partial (count, Σw) per (tile, zone), summed in int64; ``w`` holds
+    integer weights, or is None when only counts are wanted. One task
+    pass per batch, then one bounded-key combine. Returns (tile_id,
+    zone_id, <count_col>[, <sum_col>]).
 
     A plain task, not an actor pool: the index build is ~3 ms for a
     broadcast-sized zone table and is cached per worker process, while
@@ -45,16 +46,26 @@ def zone_tile_counts(ds: "rd.Dataset", points, tile_width: float,
     grid = RectGrid.from_extent(WEST, SOUTH, EAST, NORTH,
                                 width_x=tile_width, width_y=tile_width)
 
-    def geo_join(batch) -> pd.DataFrame:
+    def geo_join(batch) -> dict:
         x, y, w = points(batch)
         pairs = cached_join(BroadcastPIPJoin, zones_ref, "inner")(
             {"rec_id": np.arange(len(x), dtype=np.int64), "x": x, "y": y})
         pos = pairs["rec_id"].to_numpy()
-        df = pd.DataFrame({"tile_id": grid.tile_of(x[pos], y[pos]),
-                           "zone_id": pairs["zone_id"].to_numpy(),
-                           "w": 0 if w is None else w[pos]})
-        g = df.groupby(KEYS, sort=False)["w"]
-        return g.agg(c="count", s="sum").reset_index()
+        tile = grid.tile_of(x[pos], y[pos])
+        zone = pairs["zone_id"].to_numpy()
+        # partial (count, Σw) per (tile, zone): one sort, then int64
+        # segment sums over the runs of equal keys
+        order = np.lexsort((zone, tile))
+        tile, zone = tile[order], zone[order]
+        new = np.ones(len(tile), dtype=bool)
+        new[1:] = (tile[1:] != tile[:-1]) | (zone[1:] != zone[:-1])
+        first = np.flatnonzero(new)
+        count = np.diff(np.append(first, len(tile))).astype(np.int64)
+        total = (np.zeros(len(first), dtype=np.int64) if w is None else
+                 np.add.reduceat(np.asarray(w, dtype=np.int64)[pos[order]],
+                                 first))
+        return {"tile_id": tile[first], "zone_id": zone[first],
+                "c": count, "s": total}
 
     aggs = {count_col: ("c", "sum")}
     if sum_col:

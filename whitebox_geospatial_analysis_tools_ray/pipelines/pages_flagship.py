@@ -1,17 +1,19 @@
 """Pages flagship — the BASELINE.json headline over the REAL pages schema.
 
-pages(url, warc_ts, html, text, lang) → extract text from html (frozen
-byte-identical extractor) → geocode url → point → tile assignment
-(TileLasFile rule) → broadcast PIP join against the polygon zone layer →
-per-(tile, zone) partial count → tiny groupby. One fused task pass over
-each Arrow batch (the kernel shared with ``flagship``:
-:func:`.flagship.zone_tile_counts`); the only shuffle moves
-pre-aggregated partials.
+pages(url, warc_ts, html, text, lang) → character count of the text
+extracted from html (the frozen byte-identical extractor's span pass,
+:func:`..sources.pages.text_char_counts`) → geocode url → point → tile
+assignment (TileLasFile rule) → broadcast PIP join against the polygon
+zone layer → per-(tile, zone) partial count and character sum → tiny
+combine. One fused task pass over each Arrow batch (the kernel shared
+with ``flagship``: :func:`.flagship.zone_tile_counts`); the only shuffle
+moves pre-aggregated partials.
 
 Column pruning: only (url, html) are read — ``text``/``lang`` never
 leave the Parquet files (the extractor reproduces text byte-identically,
-pytest-gated). This is the pipeline `bench.py --scaling` times at two
-parallelism levels.
+pytest-gated, and ``text_char_counts`` equals ``len`` of its output row
+for row, errors included). This is the pipeline `bench.py --scaling`
+times at two parallelism levels.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import ray.data as rd
 
 from ..core.rng import geocode_xy
 from ..sources import read_table
-from ..sources.pages import extract_texts
+from ..sources.pages import text_char_counts
 from .flagship import zone_tile_counts
 
 
@@ -45,17 +47,16 @@ def url_ids_arrow(col) -> np.ndarray:
 
 
 def pages_flagship(pages_dir: str, tile_width: float = 250.0) -> "rd.Dataset":
-    """Returns (tile_id, zone_id, n_pages, sum_chars)."""
+    """Returns (tile_id, zone_id, n_pages, sum_chars): pages per (tile,
+    zone) and the total character count of their extracted texts."""
     def page_points(batch):
-        """html→text, url→CRC32 id→point. Batches arrive as Arrow
-        tables: the vectorized extractor and the crc32 ids read the
-        binary/string buffers zero-copy instead of materializing
-        per-row bytes/str."""
-        texts = extract_texts(batch.column("html"))
-        ids = url_ids_arrow(batch.column("url"))
-        x, y = geocode_xy(ids)
-        n_chars = np.fromiter((len(t) for t in texts), dtype=np.int64,
-                              count=len(texts))
+        """html→text length, url→CRC32 id→point. Batches arrive as
+        Arrow tables: the character counts and the crc32 ids read the
+        binary/string buffers zero-copy. Only the length of each
+        extracted text is used, so no per-row string is built for a
+        plain-ASCII, entity-free text (``text_char_counts``)."""
+        n_chars = text_char_counts(batch.column("html"))
+        x, y = geocode_xy(url_ids_arrow(batch.column("url")))
         return x, y, n_chars
 
     ds = read_table(pages_dir, columns=["url", "html"])

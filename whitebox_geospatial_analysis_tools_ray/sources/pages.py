@@ -153,70 +153,65 @@ def extract_text_bytes(html: bytes) -> str:
 
 # --- vectorized batch extractor ------------------------------------------
 # Byte-identical to extract_text_bytes per row (property-tested in
-# tests/test_pages.py): a numpy template-verification pass PROVES the
-# first-occurrence searches resolve to the fixed template positions, and
-# any row failing a check falls back to the scalar extractor. Proof
-# sketch for the fast path (all checks vectorized):
-#   * row prefix == HTML_PREFIX, and HTML_PREFIX contains no "/", so no
-#     HTML_MID occurrence can start inside the prefix;
-#   * HTML_MID starts with "<" and the first "<" at/after the prefix end
-#     is where we verify HTML_MID — so it is the FIRST occurrence, and
-#     the url region before it is "<"-free by construction of the search;
-#   * HTML_SUFFIX starts with "<" and the text span [start, end) contains
-#     no "<", so the verified row-tail HTML_SUFFIX is the first
-#     occurrence at/after start — exactly html.index(HTML_SUFFIX, start).
+# tests/test_pages.py and tests/test_pages_hypothesis.py): one span pass
+# over each Arrow chunk PROVES where the scalar first-occurrence searches
+# land, and any row it cannot prove goes to the scalar extractor, which
+# returns or raises exactly as it always does. Proof sketch for an ``ok``
+# row:
+#   * ``pc.find_substring(arr, HTML_MID)`` is the first occurrence of
+#     HTML_MID in the row, i.e. ``html.index(HTML_MID)``, so the text
+#     starts right after it;
+#   * the row ends with HTML_SUFFIX at p = len − len(HTML_SUFFIX) ≥ start,
+#     HTML_SUFFIX starts with "<", and the span [start, p) holds no "<":
+#     so no occurrence of HTML_SUFFIX begins inside the span, and p is
+#     exactly ``html.index(HTML_SUFFIX, start)``.
+# A null cell has a null position and is never ok, so the scalar path
+# raises its TypeError. The suffix is tested with ``ends_with`` rather
+# than searched for: a second ``find_substring`` scans the whole text.
 
-_PRE_A = np.frombuffer(HTML_PREFIX, dtype=np.uint8)
-_MID_A = np.frombuffer(HTML_MID, dtype=np.uint8)
-_SUF_A = np.frombuffer(HTML_SUFFIX, dtype=np.uint8)
 _LT = ord("<")
 _AMP = ord("&")
 
 
-def _template_spans(data: np.ndarray, offs: np.ndarray):
-    """Per-row (start, end, n_amp, ok) over a concatenated binary buffer.
+def _span_any(mask: np.ndarray, idx: np.ndarray,
+              nonempty: np.ndarray) -> np.ndarray:
+    """Per span: does ``mask`` hold a True inside it? ``idx`` interleaves
+    the span starts and ends (one ``reduceat`` pass over the buffer; an
+    empty span's reduceat value is a single element, hence ``nonempty``)."""
+    return np.logical_or.reduceat(mask, idx)[0::2] & nonempty
 
-    ``ok`` rows are proven equivalent to the scalar first-occurrence
-    extractor; ``n_amp`` counts '&' bytes in the text span so unescape
-    can be skipped when zero (the common web-template case)."""
-    n = len(offs) - 1
-    npre, nmid, nsuf = len(_PRE_A), len(_MID_A), len(_SUF_A)
+
+def _template_spans(arr):
+    """(starts, ends, ok, amp, plain, data memoryview) for one Arrow
+    binary chunk.
+
+    Spans are absolute offsets into the chunk's data buffer. ``ok`` rows
+    are proven equal to the scalar extractor's span (proof above);
+    ``amp`` marks ok spans holding a '&', the only ones unescape can
+    change; ``plain`` marks ok spans with no '&' and no byte ≥ 0x80, whose
+    text is ASCII and so has exactly ``end - start`` characters."""
+    import pyarrow.compute as pc
+    data, offs, mv = _chunk_np(arr)
+    mid = pc.fill_null(pc.find_substring(arr, HTML_MID), -1).to_numpy()
+    tail = pc.fill_null(pc.ends_with(arr, HTML_SUFFIX), False).to_numpy(
+        zero_copy_only=False)
     base = offs[:-1]
-    row_end = offs[1:]
-    ok = (row_end - base) >= (npre + nmid + nsuf)
-    nd = len(data)
-
-    def _match_at(pos: np.ndarray, pat: np.ndarray) -> np.ndarray:
-        if nd < len(pat):
-            return np.zeros(len(pos), dtype=bool)
-        # clamp the POSITION vector (n) instead of the gather matrix
-        # (n × len(pat)); clamped rows were already ok=False from the
-        # row-length check, so their compare result is discarded
-        p = np.minimum(np.maximum(pos, 0), nd - len(pat))
-        return (data[p[:, None] + np.arange(len(pat))] == pat).all(axis=1)
-
-    ok &= _match_at(base, _PRE_A)
-    ok &= _match_at(row_end - nsuf, _SUF_A)
-    # first '<' at/after the prefix end = the HTML_MID candidate
-    lt_pos = np.flatnonzero(data == _LT)
-    j = np.searchsorted(lt_pos, base + npre)
-    has = j < len(lt_pos)
-    mid_start = (lt_pos[np.minimum(j, len(lt_pos) - 1)]
-                 if len(lt_pos) else np.zeros(n, dtype=np.int64))
-    mid_start = np.where(has, mid_start, 0)
-    ok &= has & (mid_start + nmid <= row_end - nsuf)
-    ok &= _match_at(mid_start, _MID_A)
-    starts = np.where(ok, mid_start + nmid, base)
-    ends = np.where(ok, row_end - nsuf, base)
-    # no '<' inside the text span ⇒ the verified MID/SUFFIX hits are the
-    # first occurrences (counts via searchsorted on the sparse '<' list,
-    # NOT a full-buffer cumsum — '<' is ~18 bytes/KB in the template)
-    ok &= (np.searchsorted(lt_pos, ends)
-           - np.searchsorted(lt_pos, starts)) == 0
-    amp_pos = np.flatnonzero(data == _AMP)
-    n_amp = (np.searchsorted(amp_pos, ends)
-             - np.searchsorted(amp_pos, starts))
-    return starts, ends, n_amp, ok
+    starts = base + mid + len(HTML_MID)
+    ends = offs[1:] - len(HTML_SUFFIX)
+    ok = (mid >= 0) & tail & (starts <= ends)
+    starts = np.where(ok, starts, base)
+    ends = np.where(ok, ends, base)
+    if not len(data):       # every row empty or null: nothing is ok
+        return starts, ends, ok, ok, ok, mv
+    # indices past the buffer only come from empty spans
+    idx = np.minimum(np.column_stack((starts, ends)).ravel(), len(data) - 1)
+    nonempty = ends > starts
+    ok &= ~_span_any(data == _LT, idx, nonempty)
+    amp = ok & _span_any(data == _AMP, idx, nonempty)
+    plain = ok & ~amp
+    if data.max() >= 0x80:
+        plain &= ~(nonempty & (np.maximum.reduceat(data, idx)[0::2] >= 0x80))
+    return starts, ends, ok, amp, plain, mv
 
 
 def _chunk_np(arr) -> tuple[np.ndarray, np.ndarray, "memoryview | None"]:
@@ -233,10 +228,9 @@ def _chunk_np(arr) -> tuple[np.ndarray, np.ndarray, "memoryview | None"]:
     return data, offs, mv
 
 
-def extract_texts(html_col) -> list[str]:
-    """Batch extractor over an Arrow binary column (Array / ChunkedArray /
-    any bytes sequence) — byte-identical to ``extract_text_bytes`` per
-    row; non-template rows fall back to the scalar extractor."""
+def _binary_chunks(html_col) -> list:
+    """The non-empty Arrow binary chunks of an Array / ChunkedArray / any
+    bytes sequence."""
     import pyarrow as pa
     if isinstance(html_col, pa.ChunkedArray):
         chunks = html_col.chunks
@@ -244,32 +238,54 @@ def extract_texts(html_col) -> list[str]:
         chunks = [html_col]
     else:
         chunks = [pa.array(list(html_col), type=pa.binary())]
-    out: list[str] = []
-    for arr in chunks:
-        if len(arr) == 0:
-            continue
-        data, offs, mv = _chunk_np(arr)
-        starts, ends, n_amp, ok = _template_spans(data, offs)
-        if arr.null_count > 0:   # scalar path raises on None — keep that
-            ok = ok & np.array([v.is_valid for v in arr], dtype=bool)
-        if ok.all():
-            for s, e, na in zip(starts.tolist(), ends.tolist(),
-                                n_amp.tolist()):
-                t = str(mv[s:e], "utf-8")
-                out.append(_unescape(t) if na else t)
+    return [arr for arr in chunks if len(arr)]
+
+
+def _row_texts(arr, spans, rows: np.ndarray) -> list[str]:
+    """Extracted text of the chunk's ``rows``: ok rows from their proven
+    span, every other row through the scalar extractor."""
+    starts, ends, ok, amp, _, mv = spans
+    out = []
+    for i, s, e, k, a in zip(rows.tolist(), starts[rows].tolist(),
+                             ends[rows].tolist(), ok[rows].tolist(),
+                             amp[rows].tolist()):
+        if k:
+            t = str(mv[s:e], "utf-8")
+            out.append(_unescape(t) if a else t)
         else:
-            okl = ok.tolist()
-            sl, el, nal = starts.tolist(), ends.tolist(), n_amp.tolist()
-            ol, rl = offs[:-1].tolist(), offs[1:].tolist()
-            for i in range(len(arr)):
-                if okl[i]:
-                    t = str(mv[sl[i]:el[i]], "utf-8")
-                    out.append(_unescape(t) if nal[i] else t)
-                else:
-                    # bytes(None) raises TypeError exactly like the old
-                    # per-row path did on a null html cell
-                    out.append(extract_text_bytes(bytes(arr[i].as_py())))
+            # bytes(None) raises TypeError exactly like the scalar path
+            # does on a null html cell
+            out.append(extract_text_bytes(bytes(arr[i].as_py())))
     return out
+
+
+def extract_texts(html_col) -> list[str]:
+    """Batch extractor over an Arrow binary column (Array / ChunkedArray /
+    any bytes sequence) — byte-identical to ``extract_text_bytes`` per
+    row; non-template rows fall back to the scalar extractor."""
+    out: list[str] = []
+    for arr in _binary_chunks(html_col):
+        out.extend(_row_texts(arr, _template_spans(arr),
+                              np.arange(len(arr))))
+    return out
+
+
+def text_char_counts(html_col) -> np.ndarray:
+    """``len(extract_text_bytes(h))`` per row as int64, without building a
+    string for plain rows (ASCII text, no '&': the span length). Every
+    other row is measured on its extracted text, so a row the scalar
+    extractor rejects raises the same ValueError, UnicodeDecodeError or
+    TypeError as ``extract_texts``."""
+    out = []
+    for arr in _binary_chunks(html_col):
+        spans = _template_spans(arr)
+        starts, ends, _, _, plain, _ = spans
+        n = ends - starts
+        slow = np.flatnonzero(~plain)
+        if len(slow):
+            n[slow] = [len(t) for t in _row_texts(arr, spans, slow)]
+        out.append(n)
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
 
 
 def extract_text_stage(ds):

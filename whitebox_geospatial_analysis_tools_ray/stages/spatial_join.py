@@ -32,17 +32,36 @@ from ..core.rng import EAST, NORTH, SOUTH, WEST
 from ..core.tiles import RectGrid
 
 
+def _zone_groups(prow: np.ndarray, zid: np.ndarray) -> list:
+    """Split (point row, zone index) pairs by zone with one stable
+    argsort: [(zone index, point rows)], zones ascending, each zone's
+    rows in pair order."""
+    if not len(zid):
+        return []
+    order = np.argsort(zid, kind="stable")
+    z, rows = zid[order], prow[order]
+    cut = (np.flatnonzero(z[1:] != z[:-1]) + 1).tolist()
+    return [(int(z[a]), rows[a:b])
+            for a, b in zip([0] + cut, cut + [len(z)])]
+
+
 class ZoneGridIndex:
     """Coarse uniform-grid index over zone bounding boxes (pure numpy,
     the environment's stand-in for an STRtree). Built once per worker
-    process."""
+    process.
+
+    Cell → zones is a CSR: the zones whose bbox overlaps cell ``c`` are
+    ``cell_zone[cell_ptr[c]:cell_ptr[c + 1]]``, ascending. A probe
+    expands every point into one (point, zone) pair per zone of its
+    cell and splits the pairs by zone, so it costs O(points + pairs)
+    whatever the number of occupied cells."""
 
     def __init__(self, zones: list[dict], ncells: int = 16):
         self.zones = zones
         self.ncells = ncells
         self.w = (EAST - WEST) / ncells
         self.h = (NORTH - SOUTH) / ncells
-        self.cell_zones: dict[int, list[int]] = {}
+        cells, zis = [], []
         for zi, z in enumerate(zones):
             bb = z.get("bbox") or (z["xmin"], z["ymin"], z["xmax"], z["ymax"])
             c0 = max(0, int((bb[0] - WEST) // self.w))
@@ -51,18 +70,34 @@ class ZoneGridIndex:
             r1 = min(ncells - 1, int((bb[3] - SOUTH) // self.h))
             for r in range(r0, r1 + 1):
                 for c in range(c0, c1 + 1):
-                    self.cell_zones.setdefault(r * ncells + c, []).append(zi)
+                    cells.append(r * ncells + c)
+                    zis.append(zi)
+        cells = np.array(cells, dtype=np.int64)
+        self.cell_zone = np.array(zis, dtype=np.int64)[
+            np.argsort(cells, kind="stable")]
+        self.cell_ptr = np.zeros(ncells * ncells + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cells, minlength=ncells * ncells),
+                  out=self.cell_ptr[1:])
 
     def candidates(self, x: np.ndarray, y: np.ndarray) -> dict[int, np.ndarray]:
-        """zone index → boolean mask of points whose grid cell holds the zone."""
+        """zone index → boolean mask (one entry per point) of the points
+        whose grid cell holds the zone; zones without such a point are
+        left out."""
         col = np.clip(((x - WEST) // self.w).astype(np.int64), 0, self.ncells - 1)
         row = np.clip(((y - SOUTH) // self.h).astype(np.int64), 0, self.ncells - 1)
         cell = row * self.ncells + col
-        out: dict[int, list] = {}
-        for cid in np.unique(cell):
-            for zi in self.cell_zones.get(int(cid), ()):
-                out.setdefault(zi, []).append(cell == cid)
-        return {zi: np.logical_or.reduce(masks) for zi, masks in out.items()}
+        lo = self.cell_ptr[cell]
+        cnt = self.cell_ptr[cell + 1] - lo
+        prow = np.repeat(np.arange(len(cell), dtype=np.int64), cnt)
+        # the k-th pair of point p reads CSR slot lo[p] + k
+        slot = (np.arange(len(prow), dtype=np.int64)
+                - np.repeat(np.cumsum(cnt) - cnt - lo, cnt))
+        out = {}
+        for zi, rows in _zone_groups(prow, self.cell_zone[slot]):
+            mask = np.zeros(len(cell), dtype=bool)
+            mask[rows] = True
+            out[zi] = mask
+        return out
 
 
 def _zone_hit_mask(z: dict, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -138,21 +173,24 @@ class BroadcastPIPJoin:
         if self.mode == "inner":
             def zone_rows():
                 for zi, mask in cand.items():
-                    bb = self.zones[zi]["bbox"]
-                    m = mask & (x >= bb[0]) & (x <= bb[2]) & (y >= bb[1]) & (y <= bb[3])
-                    if m.any():
-                        yield self.zones[zi], m
+                    z = self.zones[zi]
+                    bb = z["bbox"]
+                    rows = np.flatnonzero(mask)
+                    xr, yr = x[rows], y[rows]
+                    rows = rows[(xr >= bb[0]) & (xr <= bb[2])
+                                & (yr >= bb[1]) & (yr <= bb[3])]
+                    if len(rows):
+                        yield z, rows
             return _refine_pairs(zone_rows(), x, y, rec)
-        # semi / anti: does each point hit ANY zone?
+        # semi / anti: does each point hit ANY zone? Each zone tests only
+        # its candidate rows not already hit.
         any_hit = np.zeros(len(x), dtype=bool)
         for zi, mask in cand.items():
-            z = self.zones[zi]
-            m = mask & ~any_hit
-            if not m.any():
-                continue
-            hit = np.zeros(len(x), dtype=bool)
-            hit[m] = _zone_hit_mask(z, x[m], y[m])
-            any_hit |= hit
+            rows = np.flatnonzero(mask)
+            rows = rows[~any_hit[rows]]
+            if len(rows):
+                any_hit[rows[_zone_hit_mask(self.zones[zi], x[rows],
+                                            y[rows])]] = True
         keep = any_hit if self.mode == "semi" else ~any_hit
         return pd.DataFrame({"rec_id": rec[keep], "x": x[keep], "y": y[keep]})
 
@@ -178,8 +216,9 @@ class RTreePIPJoin:
         y = np.asarray(batch["y"], dtype=np.float64)
         rec = np.asarray(batch["rec_id"], dtype=np.int64)
         prow, zid = self.tree.query_points(x, y)
-        return _refine_pairs(((self.zones[int(zi)], prow[zid == zi])
-                              for zi in np.unique(zid)), x, y, rec)
+        return _refine_pairs(((self.zones[zi], rows)
+                              for zi, rows in _zone_groups(prow, zid)),
+                             x, y, rec)
 
 
 # worker-process cache of built joins: Ray reuses worker processes, so a
