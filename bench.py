@@ -192,14 +192,14 @@ def run_bench() -> dict:
         sh_trials.append(round(sh, 3))
         pair_ratios.append(round(sh / sg, 3))
     times["pages_flagship_sharded"] = min(sh_trials)
-    # primary = min/min, the same noise-robust estimator every other
-    # key uses (paired standalone runs measured ratios 0.93-1.53 with
-    # min/min 1.00 - the sharded layout's penalty is straggler
-    # VARIANCE, not systematic cost); the paired evidence ships along
-    diagnostics["sharded_over_single"] = round(
-        min(sh_trials) / min(sg_trials), 3)
-    diagnostics["sharded_over_single_paired_median"] = sorted(
+    # primary = the median per-pair ratio: each pair shares the host's
+    # state, so drift cancels within it. min/min pairs the luckiest
+    # trial of each layout, which hides the sharded layout's straggler
+    # variance; it ships as a diagnostic only
+    diagnostics["sharded_over_single"] = sorted(
         pair_ratios)[len(pair_ratios) // 2]
+    diagnostics["sharded_over_single_min_over_min"] = round(
+        min(sh_trials) / min(sg_trials), 3)
     diagnostics["sharded_pair_trials"] = {
         "single": sg_trials, "sharded": sh_trials,
         "ratios": pair_ratios}

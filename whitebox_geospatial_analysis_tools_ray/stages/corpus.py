@@ -25,12 +25,14 @@ import zlib
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data as rd
 from ray.data.aggregate import Sum
 
 from ..sources import read_table
 from .dedup import ngram_jaccard_pairs
 from .util import combine, groupwise_combine, keyed_group_sum
+from .vhash import text_md5_codes
 
 from .util import SQL_WS, sql_ws_re
 _TOKEN_RE = sql_ws_re()
@@ -674,10 +676,13 @@ def corpus_clean(sf_dir: str, min_tokens: int = 20,
         gset.update(b["g"])
     gref = ray.put(gset)
 
-    def scan(batch: pd.DataFrame) -> pd.DataFrame:
+    def scan(batch: pa.Table) -> pd.DataFrame:
         grams = ray.get(gref)
-        md5s, ids, reasons = [], [], []
-        for doc_id, text in zip(batch["doc_id"], batch["text"]):
+        codes, md5_hex = text_md5_codes(batch["text"])
+        ids = batch["doc_id"].to_numpy()
+        reasons = []
+        for doc_id, text in zip(ids.tolist(),
+                                batch["text"].to_pylist()):
             toks = _tokens(text)
             reason = 0
             total3 = len(toks) - 2
@@ -693,17 +698,13 @@ def corpus_clean(sf_dir: str, min_tokens: int = 20,
                     reason |= 4
             if len(toks) < min_tokens:
                 reason |= 8
-            md5s.append(hashlib.md5(
-                (text if isinstance(text, str) else "")
-                .encode("utf-8")).hexdigest())
-            ids.append(int(doc_id))
             reasons.append(reason)
-        return pd.DataFrame({"text_md5": md5s,
-                             "doc_id": np.asarray(ids, dtype=np.int64),
+        return pd.DataFrame({"text_md5": md5_hex[codes],
+                             "doc_id": ids.astype(np.int64),
                              "reason": np.asarray(reasons,
                                                   dtype=np.int64)})
 
-    partials = docs.map_batches(scan, batch_format="pandas")
+    partials = docs.map_batches(scan, batch_format="pyarrow")
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         surv = df.groupby("text_md5", sort=False)["doc_id"] \

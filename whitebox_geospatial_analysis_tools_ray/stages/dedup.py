@@ -16,25 +16,20 @@ Python's randomized ``hash()``.
 
 from __future__ import annotations
 
-import hashlib
 import re
 import zlib
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data as rd
 
 from ..sources import read_table
 from .util import combine
+from .vhash import text_md5_codes
 
 from .util import SQL_WS as _SQL_WS, sql_ws_re as _sql_ws_re
 _TOKEN_RE = _sql_ws_re()
-
-
-def _md5_series(texts: pd.Series) -> pd.Series:
-    # null text cell ≡ empty document (groups with "" — contentless)
-    return texts.map(lambda t: hashlib.md5(
-        (t if isinstance(t, str) else "").encode("utf-8")).hexdigest())
 
 
 def exact_dedup(sf_dir: str) -> "rd.Dataset":
@@ -42,17 +37,19 @@ def exact_dedup(sf_dir: str) -> "rd.Dataset":
 
     Output: (text_md5, survivor_id, dup_count). Partial per-batch combine
     before the shuffle (the shuffle moves one row per distinct hash per
-    batch, never the text payload).
+    batch, never the text payload); md5 runs once per distinct text
+    (``vhash.text_md5_codes``, null text ≡ "").
     """
     ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        df = pd.DataFrame({"text_md5": _md5_series(batch["text"]),
-                           "doc_id": batch["doc_id"]})
+    def partial(batch: pa.Table) -> pd.DataFrame:
+        codes, md5_hex = text_md5_codes(batch["text"])
+        df = pd.DataFrame({"text_md5": md5_hex[codes],
+                           "doc_id": batch["doc_id"].to_pandas()})
         g = df.groupby("text_md5", sort=False)["doc_id"]
         return g.agg(survivor="min", c="count").reset_index()
 
-    partials = ds.map_batches(partial, batch_format="pandas")
+    partials = ds.map_batches(partial, batch_format="pyarrow")
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         a = (df.groupby("text_md5", sort=False)
@@ -83,19 +80,26 @@ def pages_exact_dedup(pages_dir: str, num_buckets: int | None = None,
     unbounded-key all-to-all, unlike the flagship whose shuffle moves
     pre-aggregated partials only.
 
-    Scale shape: only (md5, count) partial rows leave each read task
-    (one row per distinct text per batch, never the text payload);
-    the bucketed combine emits ONE summary row per bucket; the driver
-    folds ≤ num_buckets rows. Output: (n_pages, n_distinct, max_group).
+    Partial plan, per Arrow batch: ``vhash.text_md5_codes`` groups
+    equal texts with Arrow's hash kernel and md5s each distinct text
+    once (null text ≡ ""); ``np.bincount`` of the codes counts each
+    text; a fold by md5 then merges distinct texts whose md5s collide,
+    so the partial emits one (md5, count) row per distinct md5.
+
+    Scale shape: only those partial rows leave each read task (never
+    the text payload); the bucketed combine emits ONE summary row per
+    bucket; the driver folds ≤ num_buckets rows.
+    Output: (n_pages, n_distinct, max_group).
     """
     ds = read_table(pages_dir, columns=["text"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = (pd.DataFrame({"text_md5": _md5_series(batch["text"])})
-             .groupby("text_md5", sort=False).size().reset_index(name="c"))
-        return g
+    def partial(batch: pa.Table) -> pd.DataFrame:
+        codes, md5_hex = text_md5_codes(batch["text"])
+        counts = np.bincount(codes, minlength=len(md5_hex))
+        return (pd.DataFrame({"text_md5": md5_hex, "c": counts})
+                .groupby("text_md5", sort=False, as_index=False)["c"].sum())
 
-    partials = ds.map_batches(partial, batch_format="pandas")
+    partials = ds.map_batches(partial, batch_format="pyarrow")
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         per_key = df.groupby("text_md5", sort=False)["c"].sum()

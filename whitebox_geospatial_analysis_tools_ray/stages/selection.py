@@ -47,11 +47,13 @@ import zlib
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data as rd
 
 from ..sources import read_table
 from .util import SQL_WS as _SQL_WS, sql_ws_re as _sql_ws_re
 from .util import combine
+from .vhash import text_md5_codes
 _WS = _sql_ws_re()
 
 # hashed-linear classifier constants: weight(t) = ((crc32(t)·A + B)
@@ -654,23 +656,14 @@ def incremental_dedup(sf_dir: str, mod: int = 3) -> pd.DataFrame:
     docs = read_table(f"{sf_dir}/documents.parquet",
                       columns=["doc_id", "text"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        agg: dict[str, list[int]] = {}
-        for doc_id, text in zip(b["doc_id"], b["text"]):
-            h = hashlib.md5((text if isinstance(text, str) else "")
-                            .encode("utf-8")).hexdigest()
-            a = agg.setdefault(h, [0, 0])
-            if int(doc_id) % mod == 0:
-                a[0] += 1
-            else:
-                a[1] += 1
-        ks = list(agg.keys())
+    def partial(b: pa.Table) -> pd.DataFrame:
+        # one row per distinct text of the batch; comb folds by h
+        codes, md5_hex = text_md5_codes(b["text"])
+        ex = b["doc_id"].to_numpy() % mod == 0
         return pd.DataFrame({
-            "h": ks,
-            "n_ex": np.fromiter((agg[k][0] for k in ks),
-                                dtype=np.int64, count=len(ks)),
-            "n_inc": np.fromiter((agg[k][1] for k in ks),
-                                 dtype=np.int64, count=len(ks))})
+            "h": md5_hex,
+            "n_ex": np.bincount(codes[ex], minlength=len(md5_hex)),
+            "n_inc": np.bincount(codes[~ex], minlength=len(md5_hex))})
 
     def comb(df: pd.DataFrame) -> pd.DataFrame:
         g = (df.groupby("h", sort=False)
@@ -687,7 +680,7 @@ def incremental_dedup(sf_dir: str, mod: int = 3) -> pd.DataFrame:
             "n_dup_within": pd.Series([int(dup.sum())], dtype="int64"),
             "n_kept": pd.Series([int(kept.sum())], dtype="int64")})
 
-    parts = combine(docs.map_batches(partial, batch_format="pandas"),
+    parts = combine(docs.map_batches(partial, batch_format="pyarrow"),
                     "h", comb).to_pandas()
 
     def final(df: pd.DataFrame) -> pd.DataFrame:

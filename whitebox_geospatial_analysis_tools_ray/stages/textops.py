@@ -595,7 +595,10 @@ def corpus_summary(sf_dir: str, round_to: int = 6) -> pd.DataFrame:
     bucketed unbounded-key combine that ships 16-byte digests, never
     text.
     """
-    import hashlib
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from .vhash import text_md5_codes
 
     counts, n_nonempty, n_tokens = _df_table(sf_dir, with_stats=True)
     vocab = int(len(counts))
@@ -603,14 +606,13 @@ def corpus_summary(sf_dir: str, round_to: int = 6) -> pd.DataFrame:
     docs = read_table(f"{sf_dir}/documents.parquet",
                       columns=["text", "lang", "source"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        md5s = [hashlib.md5((t if isinstance(t, str) else "")
-                            .encode("utf-8")).hexdigest()
-                for t in b["text"]]
+    def partial(b: pa.Table) -> pd.DataFrame:
+        # one row per distinct text of the batch (n_h counts distinct h)
+        md5s = list(text_md5_codes(b["text"])[1])
         langs = sorted({l if isinstance(l, str) else ""
-                        for l in b["lang"]})
+                        for l in pc.unique(b["lang"]).to_pylist()})
         srcs = sorted({s if isinstance(s, str) else ""
-                       for s in b["source"]})
+                       for s in pc.unique(b["source"]).to_pylist()})
         n = max(len(md5s), len(langs), len(srcs))
         pad = lambda xs: xs + [None] * (n - len(xs))
         return pd.DataFrame({
@@ -631,7 +633,7 @@ def corpus_summary(sf_dir: str, round_to: int = 6) -> pd.DataFrame:
             "n_docs": pd.Series([int(df["n_docs"].sum())],
                                 dtype="int64")})
 
-    parts = combine(docs.map_batches(partial, batch_format="pandas"),
+    parts = combine(docs.map_batches(partial, batch_format="pyarrow"),
                     "h", comb).to_pandas()
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
