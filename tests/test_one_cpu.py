@@ -7,8 +7,9 @@ stages with per-worker state (decoders, classifier) in a fresh process
 with ``num_cpus=1`` under a timeout, and checks each result exactly
 against its DuckDB oracle. A source lint keeps actor pools out of the
 package, so every ``map_batches`` stage stays a plain task; another
-keeps every Parquet read on ``sources.read_table``, and a third every
-keyed shuffle on ``util.combine``.
+keeps every Parquet read on ``sources.read_table``, a third every
+keyed shuffle on ``util.combine``, and a fourth every per-tile raster
+plan on ``raster.tile_task``.
 """
 
 import ast
@@ -142,3 +143,22 @@ def test_keyed_shuffles_go_through_combine():
                                  f"{node.func.attr}")
     assert not offenders, (
         "keyed shuffle outside util.combine:\n" + "\n".join(offenders))
+
+
+def test_tile_plans_go_through_tile_task():
+    """Every per-tile plan goes through ``raster.tile_task``, which owns
+    the row-band fan-out: no ``rd.range(...)`` call whose argument names
+    ``n_tiles`` anywhere in the package outside ``stages/raster.py``."""
+    allowed = PACKAGE / "stages" / "raster.py"
+    offenders = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py")) if path != allowed
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "range"
+        and getattr(node.func.value, "id", None) == "rd"
+        and any(getattr(n, "id", getattr(n, "attr", None)) == "n_tiles"
+                for a in node.args + [k.value for k in node.keywords]
+                for n in ast.walk(a))]
+    assert not offenders, (
+        "per-tile plan outside raster.tile_task:\n" + "\n".join(offenders))

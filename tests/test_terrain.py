@@ -96,18 +96,23 @@ def test_aspect_kernel_range(grid):
 
 
 def test_stencil_multi_tile_equals_single_tile(ray_session):
-    """Halo exchange must be invisible: 4-tile and 1-tile runs agree."""
+    """Halo exchange must be invisible: multi-tile and 1-tile runs agree,
+    and the shuffle plan equals the overlap-read plan, also when the last
+    tile is short (70 = 4·16 + 6)."""
     import pandas as pd
 
-    def run(spec):
+    def run(spec, regen=None):
         from whitebox_geospatial_analysis_tools_ray.stages.raster import synth_raster
-        out = terrain.slope(synth_raster(spec), spec)
+        out = terrain.slope(synth_raster(spec), spec, regen=regen)
         return (raster_row_checksums(out, spec).to_pandas()
                 .sort_values("row_id").reset_index(drop=True))
 
-    multi = run(RasterSpec(rows=64, cols=32, tile_rows=16))
-    single = run(RasterSpec(rows=64, cols=32, tile_rows=64))
-    pd.testing.assert_frame_equal(multi, single)
+    for rows in (64, 70):
+        multi = run(RasterSpec(rows=rows, cols=32, tile_rows=16))
+        single = run(RasterSpec(rows=rows, cols=32, tile_rows=rows))
+        regen = run(RasterSpec(rows=rows, cols=32, tile_rows=16), synth_value)
+        pd.testing.assert_frame_equal(multi, single)
+        pd.testing.assert_frame_equal(regen, single)
 
 
 def test_multiscale_elev_residual_matches_naive(ray_session):

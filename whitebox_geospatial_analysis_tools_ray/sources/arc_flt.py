@@ -14,7 +14,8 @@ the centre branch applies with half-cell shifts."""
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+
+from ..stages.raster import RasterSpec, tile_task
 
 
 def write_arc_flt(path_base: str, a: np.ndarray, nodata: float = -9999.0,
@@ -67,27 +68,19 @@ def read_flt_header(path_hdr: str):
 def import_arc_flt(path_base: str, tile_rows: int = 64):
     """Row-band tiles (tile_id, data float64) via per-tile byte-range
     reads of the .flt payload."""
-    import ray.data as rd
-
     hdr = read_flt_header(path_base + ".hdr")
-    rows, cols = hdr["rows"], hdr["cols"]
+    spec = RasterSpec(rows=hdr["rows"], cols=hdr["cols"], tile_rows=tile_rows)
     dt = np.dtype("<f4" if hdr["lsb"] else ">f4")
-    n_tiles = -(-rows // tile_rows)
 
-    def load(batch) -> pd.DataFrame:
-        out = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * tile_rows
-            r1 = min(r0 + tile_rows, rows)
-            with open(path_base + ".flt", "rb") as f:
-                f.seek(r0 * cols * 4)
-                raw = f.read((r1 - r0) * cols * 4)
-            a = np.frombuffer(raw, dtype=dt).astype(np.float64)
-            out.append({"tile_id": tid, "data": a})
-        return pd.DataFrame(out)
+    def load(tid: int) -> dict:
+        r0, r1 = spec.band(tid)
+        with open(path_base + ".flt", "rb") as f:
+            f.seek(r0 * spec.cols * 4)
+            raw = f.read((r1 - r0) * spec.cols * 4)
+        return {"tile_id": [tid],
+                "data": [np.frombuffer(raw, dtype=dt).astype(np.float64)]}
 
-    return hdr, rd.range(n_tiles).map_batches(load, batch_format="numpy")
+    return hdr, tile_task(spec.n_tiles, load)
 
 
 def arc_flt_roundtrip_query():

@@ -12,7 +12,8 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import pandas as pd
+
+from ..stages.raster import RasterSpec, tile_task
 
 
 def write_bmp(path: str, rgb: np.ndarray) -> None:
@@ -53,33 +54,26 @@ def import_bmp(path: str, tile_rows: int = 64):
     """Row-band tiles (tile_id, data) of the PACKED composite value
     (255·2²⁴ + r·2¹⁶ + g·2⁸ + b — the reference's colour-composite
     encoding); each tile issues ONE byte-range read of its rows."""
-    import ray.data as rd
-
     off, w, h, stride = _read_header(path)
-    n_tiles = -(-h // tile_rows)
+    spec = RasterSpec(rows=h, cols=w, tile_rows=tile_rows)
 
-    def load(batch) -> pd.DataFrame:
-        rows = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * tile_rows
-            r1 = min(r0 + tile_rows, h)
-            # top-down tile rows r0..r1 live at bottom-up rows
-            # (h-1-r)... contiguous block for rows (h-r1)..(h-r0)
-            b0 = off + (h - r1) * stride
-            with open(path, "rb") as f:
-                f.seek(b0)
-                raw = f.read((r1 - r0) * stride)
-            block = np.frombuffer(raw, dtype=np.uint8).reshape(
-                r1 - r0, stride)[::-1, :w * 3].reshape(r1 - r0, w, 3)
-            b = block[:, :, 0].astype(np.float64)
-            g = block[:, :, 1].astype(np.float64)
-            r = block[:, :, 2].astype(np.float64)
-            val = 255.0 * 16777216 + r * 65536 + g * 256 + b
-            rows.append({"tile_id": tid, "data": val.ravel()})
-        return pd.DataFrame(rows)
+    def load(tid: int) -> dict:
+        r0, r1 = spec.band(tid)
+        # top-down tile rows r0..r1 live at bottom-up rows
+        # (h-1-r)... contiguous block for rows (h-r1)..(h-r0)
+        b0 = off + (h - r1) * stride
+        with open(path, "rb") as f:
+            f.seek(b0)
+            raw = f.read((r1 - r0) * stride)
+        block = np.frombuffer(raw, dtype=np.uint8).reshape(
+            r1 - r0, stride)[::-1, :w * 3].reshape(r1 - r0, w, 3)
+        b = block[:, :, 0].astype(np.float64)
+        g = block[:, :, 1].astype(np.float64)
+        r = block[:, :, 2].astype(np.float64)
+        val = 255.0 * 16777216 + r * 65536 + g * 256 + b
+        return {"tile_id": [tid], "data": [val.ravel()]}
 
-    return rd.range(n_tiles).map_batches(load, batch_format="numpy")
+    return tile_task(spec.n_tiles, load)
 
 
 def bmp_roundtrip_query():

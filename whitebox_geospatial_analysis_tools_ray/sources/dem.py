@@ -22,6 +22,7 @@ import math
 import numpy as np
 import pandas as pd
 
+from ..stages.raster import RasterSpec
 from .grids import WHITEBOX_NODATA
 from .raster_io import RasterHeader
 
@@ -93,7 +94,7 @@ def import_dem(path: str, tile_rows: int = 64, rows: int | None = None,
     R, C = hdr.rows, hdr.cols
     pb = _profile_blocks(R)
     n_col_tasks = math.ceil(C / cols_per_task)
-    n_tiles = math.ceil(R / tile_rows)
+    spec = RasterSpec(rows=R, cols=C, tile_rows=tile_rows)
 
     def read_cols(batch) -> pd.DataFrame:
         out = {"tile_id": [], "col": [], "seg": []}
@@ -111,16 +112,15 @@ def import_dem(path: str, tile_rows: int = 64, rows: int | None = None,
                 vals = toks[_B_HEADER_TOKENS:].astype(np.int64)
                 colv = vals[::-1].astype(np.float64)  # back to top-down
                 colv[colv == CDED_NODATA] = WHITEBOX_NODATA
-                for t in range(n_tiles):
-                    r0, r1 = t * tile_rows, min((t + 1) * tile_rows, R)
+                for t in range(spec.n_tiles):
                     out["tile_id"].append(t)
                     out["col"].append(c)
-                    out["seg"].append(colv[r0:r1].tobytes())
+                    out["seg"].append(colv[slice(*spec.band(t))].tobytes())
         return pd.DataFrame(out)
 
     def assemble(df: pd.DataFrame) -> pd.DataFrame:
         t = int(df["tile_id"].iloc[0])
-        r0, r1 = t * tile_rows, min((t + 1) * tile_rows, R)
+        r0, r1 = spec.band(t)
         a = np.full((r1 - r0, C), WHITEBOX_NODATA)
         for row in df.itertuples():
             a[:, int(row.col)] = np.frombuffer(row.seg)

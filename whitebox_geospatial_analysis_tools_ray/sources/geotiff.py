@@ -21,8 +21,8 @@ import math
 import struct
 
 import numpy as np
-import pandas as pd
 
+from ..stages.raster import RasterSpec, tile_task
 from .grids import WHITEBOX_NODATA
 from .raster_io import RasterHeader
 
@@ -312,15 +312,13 @@ def read_geotiff_header(path: str):
 def import_geotiff(path: str, tile_rows: int = 64):
     """(header, Dataset of tile rows) — byte-range strip reads, one Ray
     task per row band."""
-    import ray.data as rd
-
     hdr, dtype, layout = read_geotiff_header(path)
     rows, cols = hdr.rows, hdr.cols
     offsets = layout["offsets"]
     counts = layout["counts"]
     comp = layout["comp"]
     predictor = layout["predictor"]
-    n_tiles = math.ceil(rows / tile_rows)
+    spec = RasterSpec(rows=rows, cols=cols, tile_rows=tile_rows)
     item = dtype.itemsize
 
     def _decode_unit(f, idx: int, unit_rows: int, unit_cols: int
@@ -340,56 +338,52 @@ def import_geotiff(path: str, tile_rows: int = 64):
             a = _unpredict(a)
         return a
 
-    def load(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
+    def load(tid: int) -> dict:
         with open(path, "rb") as f:
-            for tid in batch["id"]:
-                r0 = int(tid) * tile_rows
-                r1 = min(r0 + tile_rows, rows)
-                if layout["tiled"]:
-                    tw, th = layout["tile_w"], layout["tile_h"]
-                    tiles_across = math.ceil(cols / tw)
-                    band = np.empty((r1 - r0, cols), dtype=dtype)
-                    for trow in range(r0 // th, (r1 - 1) // th + 1):
-                        row_parts = []
-                        for tcol in range(tiles_across):
-                            a = _decode_unit(f, trow * tiles_across + tcol,
-                                             th, tw)
-                            row_parts.append(a)
-                        strip = np.hstack(row_parts)[:, :cols]
-                        y0 = max(r0, trow * th)
-                        y1 = min(r1, (trow + 1) * th)
-                        band[y0 - r0:y1 - r0] = strip[y0 - trow * th:
-                                                      y1 - trow * th]
-                    a = band
-                else:
-                    rps = layout["rows_per_strip"]
-                    parts = []
-                    r = r0
-                    while r < r1:
-                        strip = r // rps
-                        srow = r % rps
-                        take = min(r1 - r, rps - srow)
-                        unit_rows = min(rps, rows - strip * rps)
-                        if comp == _COMP_NONE and predictor == 1:
-                            # fast path: byte-range slice into the strip
-                            f.seek(offsets[strip] + srow * cols * item)
-                            raw = f.read(take * cols * item)
-                            parts.append(np.frombuffer(raw, dtype=dtype)
-                                         .reshape(take, cols))
-                        else:
-                            a = _decode_unit(f, strip, unit_rows, cols)
-                            parts.append(a[srow:srow + take])
-                        r += take
-                    a = np.vstack(parts)
-                a = a.astype(np.float64)
-                if hdr.nodata != WHITEBOX_NODATA:
-                    a[a == hdr.nodata] = WHITEBOX_NODATA
-                out["tile_id"].append(int(tid))
-                out["data"].append(a.ravel())
-        return pd.DataFrame(out)
+            r0, r1 = spec.band(tid)
+            if layout["tiled"]:
+                tw, th = layout["tile_w"], layout["tile_h"]
+                tiles_across = math.ceil(cols / tw)
+                band = np.empty((r1 - r0, cols), dtype=dtype)
+                for trow in range(r0 // th, (r1 - 1) // th + 1):
+                    row_parts = []
+                    for tcol in range(tiles_across):
+                        a = _decode_unit(f, trow * tiles_across + tcol,
+                                         th, tw)
+                        row_parts.append(a)
+                    strip = np.hstack(row_parts)[:, :cols]
+                    y0 = max(r0, trow * th)
+                    y1 = min(r1, (trow + 1) * th)
+                    band[y0 - r0:y1 - r0] = strip[y0 - trow * th:
+                                                  y1 - trow * th]
+                a = band
+            else:
+                rps = layout["rows_per_strip"]
+                parts = []
+                r = r0
+                while r < r1:
+                    strip = r // rps
+                    srow = r % rps
+                    take = min(r1 - r, rps - srow)
+                    unit_rows = min(rps, rows - strip * rps)
+                    if comp == _COMP_NONE and predictor == 1:
+                        # fast path: byte-range slice into the strip
+                        f.seek(offsets[strip] + srow * cols * item)
+                        raw = f.read(take * cols * item)
+                        parts.append(np.frombuffer(raw, dtype=dtype)
+                                     .reshape(take, cols))
+                    else:
+                        a = _decode_unit(f, strip, unit_rows, cols)
+                        parts.append(a[srow:srow + take])
+                    r += take
+                a = np.vstack(parts)
+            a = a.astype(np.float64)
+            if hdr.nodata != WHITEBOX_NODATA:
+                a[a == hdr.nodata] = WHITEBOX_NODATA
+        return {"tile_id": [tid], "data": [a.ravel()]}
 
-    return hdr, rd.range(n_tiles).map_batches(load, batch_format="numpy")
+
+    return hdr, tile_task(spec.n_tiles, load)
 
 
 _COMP_NAME = {"none": _COMP_NONE, "lzw": _COMP_LZW,
@@ -416,9 +410,9 @@ def export_geotiff(hdr: RasterHeader, ds, path: str,
                    predictor: int = 1,
                    tile_size: int | None = None) -> None:
     """Write a little-endian GeoTIFF by STREAMING tiles through a bounded
-    row buffer — O(strip/tile-row) driver memory at any raster size (the
-    round-2 VERDICT item-6 fix of the previous ``ds.to_pandas()``
-    assembly). Layout: 8-byte header (IFD pointer patched at the end) →
+    row buffer — O(strip/tile-row) driver memory at any raster size (a
+    ``ds.to_pandas()`` assembly would hold the whole raster on the
+    driver). Layout: 8-byte header (IFD pointer patched at the end) →
     strip/tile payloads in write order → external arrays → IFD; readers
     follow the pointer, so IFD-after-data is valid TIFF. ``compression``
     is one of none/deflate/lzw/packbits; ``predictor=2`` applies

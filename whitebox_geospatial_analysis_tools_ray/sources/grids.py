@@ -34,13 +34,13 @@ sentinel, matching raster_io's tile schema (tile_id:int64, data:list<f64>).
 
 from __future__ import annotations
 
-import math
 import os
 import re
 
 import numpy as np
 import pandas as pd
 
+from ..stages.raster import RasterSpec, tile_task
 from .raster_io import RasterHeader
 
 WHITEBOX_NODATA = -32768.0
@@ -50,13 +50,13 @@ _SURFER_BLANK = 1.70141e38
 # ---------------------------------------------------------------- helpers
 
 def _band_frames(grid: np.ndarray, tile_rows: int) -> pd.DataFrame:
-    rows = grid.shape[0]
-    out = {"tile_id": [], "data": []}
-    for tid in range(math.ceil(rows / tile_rows)):
-        r0, r1 = tid * tile_rows, min((tid + 1) * tile_rows, rows)
-        out["tile_id"].append(tid)
-        out["data"].append(grid[r0:r1].ravel())
-    return pd.DataFrame(out)
+    """A decoded (rows, cols) grid as row-band tile rows (tile_id, data)."""
+    spec = RasterSpec(rows=grid.shape[0], cols=grid.shape[1],
+                      tile_rows=tile_rows)
+    return pd.DataFrame({
+        "tile_id": range(spec.n_tiles),
+        "data": [grid[slice(*spec.band(t))].ravel()
+                 for t in range(spec.n_tiles)]})
 
 
 def _text_grid_dataset(path: str, parse, tile_rows: int):
@@ -95,33 +95,26 @@ def _binary_band_dataset(path: str, hdr: RasterHeader, dtype: np.dtype,
                          tile_rows: int, bottom_up: bool = False,
                          remap_nodata: float | None = None):
     """Byte-range band reads: one Ray task per row band of the output."""
-    import ray.data as rd
-
     itemsize = dtype.itemsize
     rows, cols = hdr.rows, hdr.cols
-    n_tiles = math.ceil(rows / tile_rows)
+    spec = RasterSpec(rows=rows, cols=cols, tile_rows=tile_rows)
 
-    def load(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            r0 = int(tid) * tile_rows
-            r1 = min(r0 + tile_rows, rows)
-            # output row r lives at source row (rows-1-r) when bottom-up
-            src_rows = (np.arange(rows - 1 - (r1 - 1), rows - r0)[::-1]
-                        if bottom_up else np.arange(r0, r1))
-            lo, hi = int(src_rows.min()), int(src_rows.max()) + 1
-            with open(path, "rb") as f:
-                f.seek(lo * cols * itemsize)
-                raw = f.read((hi - lo) * cols * itemsize)
-            block = np.frombuffer(raw, dtype=dtype).reshape(hi - lo, cols)
-            a = block[src_rows - lo].astype(np.float64)
-            if remap_nodata is not None:
-                a[a == remap_nodata] = WHITEBOX_NODATA
-            out["tile_id"].append(int(tid))
-            out["data"].append(a.ravel())
-        return pd.DataFrame(out)
+    def load(tid: int) -> dict:
+        r0, r1 = spec.band(tid)
+        # output row r lives at source row (rows-1-r) when bottom-up
+        src_rows = (np.arange(rows - 1 - (r1 - 1), rows - r0)[::-1]
+                    if bottom_up else np.arange(r0, r1))
+        lo, hi = int(src_rows.min()), int(src_rows.max()) + 1
+        with open(path, "rb") as f:
+            f.seek(lo * cols * itemsize)
+            raw = f.read((hi - lo) * cols * itemsize)
+        block = np.frombuffer(raw, dtype=dtype).reshape(hi - lo, cols)
+        a = block[src_rows - lo].astype(np.float64)
+        if remap_nodata is not None:
+            a[a == remap_nodata] = WHITEBOX_NODATA
+        return {"tile_id": [tid], "data": [a.ravel()]}
 
-    return rd.range(n_tiles).map_batches(load, batch_format="numpy")
+    return tile_task(spec.n_tiles, load)
 
 
 # ------------------------------------------------------------- ESRI ASCII

@@ -19,6 +19,8 @@ import struct
 import numpy as np
 import pandas as pd
 
+from .grids import _band_frames
+
 # Annex K luminance / chrominance quantization tables (quality 50 base)
 _QY = np.array([
     16, 11, 10, 16, 24, 40, 51, 61,
@@ -797,13 +799,7 @@ def import_jpeg(path: str, tile_rows: int = 64):
         g = a[:, :, 1].astype(np.float64)
         b = a[:, :, 2].astype(np.float64)
         val = 255.0 * 16777216 + r * 65536 + g * 256 + b
-        rows = []
-        n_tiles = -(-val.shape[0] // tile_rows)
-        for tid in range(n_tiles):
-            rows.append({"tile_id": tid,
-                         "data": val[tid * tile_rows:(tid + 1) * tile_rows]
-                         .ravel()})
-        return pd.DataFrame(rows)
+        return _band_frames(val, tile_rows)
 
     return rd.range(1).map_batches(load, batch_format="numpy")
 

@@ -18,11 +18,11 @@ other grid source.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
+
+from ..stages.raster import RasterSpec, tile_task
 
 
 @dataclass
@@ -58,18 +58,13 @@ def write_multiband(path: str, cube: np.ndarray, interleave: str,
 def import_multiband(path: str, hdr: MultibandHeader, band: int,
                      tile_rows: int = 64):
     """One band as a tile Dataset via byte-range reads."""
-    import ray.data as rd
-
     R, C, B = hdr.rows, hdr.cols, hdr.bands
     w = hdr.dtype.itemsize
-    n_tiles = math.ceil(R / tile_rows)
+    spec = RasterSpec(rows=R, cols=C, tile_rows=tile_rows)
 
-    def load(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            r0 = int(tid) * tile_rows
-            r1 = min(r0 + tile_rows, R)
-            with open(path, "rb") as f:
+    def load(tid: int) -> dict:
+        r0, r1 = spec.band(tid)
+        with open(path, "rb") as f:
                 if hdr.interleave == "bsq":
                     f.seek(hdr.header_offset + (band * R + r0) * C * w)
                     raw = f.read((r1 - r0) * C * w)
@@ -86,8 +81,6 @@ def import_multiband(path: str, hdr: MultibandHeader, band: int,
                     raw = f.read((r1 - r0) * C * B * w)
                     a = (np.frombuffer(raw, dtype=hdr.dtype)
                          .reshape(-1, C, B)[:, :, band])
-            out["tile_id"].append(int(tid))
-            out["data"].append(a.astype(np.float64).ravel())
-        return pd.DataFrame(out)
+        return {"tile_id": [tid], "data": [a.astype(np.float64).ravel()]}
 
-    return rd.range(n_tiles).map_batches(load, batch_format="numpy")
+    return tile_task(spec.n_tiles, load)

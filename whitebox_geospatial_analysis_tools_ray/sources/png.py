@@ -22,6 +22,8 @@ import zlib
 import numpy as np
 import pandas as pd
 
+from .grids import _band_frames
+
 _SIG = b"\x89PNG\r\n\x1a\n"
 
 
@@ -249,13 +251,7 @@ def import_png(path: str, tile_rows: int = 64):
             a = (255.0 * 16777216 + r * 65536 + g * 256 + b)
         else:
             a = a.astype(np.float64)
-        rows = []
-        n_tiles = -(-a.shape[0] // tile_rows)
-        for tid in range(n_tiles):
-            rows.append({"tile_id": tid,
-                         "data": a[tid * tile_rows:(tid + 1) * tile_rows]
-                         .ravel()})
-        return pd.DataFrame(rows)
+        return _band_frames(a, tile_rows)
 
     return rd.range(1).map_batches(load, batch_format="numpy")
 

@@ -19,12 +19,12 @@ Java double). The Dataset schema is the engine tile model:
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
+
+from ..stages.raster import RasterSpec, tile_task
 
 _DTYPES = {"DOUBLE": "f8", "FLOAT": "f4", "INTEGER": "i2", "BYTE": "u1"}
 
@@ -89,38 +89,29 @@ def read_whitebox_raster(dep_path: str, tile_rows: int = 64):
     The .tas is decoded INSIDE Ray tasks (one task per tile band) via
     byte-range reads — the driver never holds the grid.
     """
-    import ray.data as rd
-
     hdr = read_dep_header(dep_path)
     tas_path = dep_path[:-4] + ".tas"
-    n_tiles = math.ceil(hdr.rows / tile_rows)
+    spec = RasterSpec(rows=hdr.rows, cols=hdr.cols, tile_rows=tile_rows)
     dtype = hdr.np_dtype()
     itemsize = dtype.itemsize
-    cols = hdr.cols
 
-    def load(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            r0 = int(tid) * tile_rows
-            r1 = min(r0 + tile_rows, hdr.rows)
-            with open(tas_path, "rb") as f:
-                f.seek(r0 * cols * itemsize)
-                raw = f.read((r1 - r0) * cols * itemsize)
-            a = np.frombuffer(raw, dtype=dtype).astype(np.float64)
-            out["tile_id"].append(int(tid))
-            out["data"].append(a)
-        return pd.DataFrame(out)
+    def load(tid: int) -> dict:
+        r0, r1 = spec.band(tid)
+        with open(tas_path, "rb") as f:
+            f.seek(r0 * spec.cols * itemsize)
+            raw = f.read((r1 - r0) * spec.cols * itemsize)
+        return {"tile_id": [tid],
+                "data": [np.frombuffer(raw, dtype=dtype).astype(np.float64)]}
 
-    ds = rd.range(n_tiles).map_batches(load, batch_format="numpy")
-    return hdr, ds
+    return hdr, tile_task(spec.n_tiles, load)
 
 
 def iter_tiles_ordered(ds, on_pending=None):
     """Stream ``(tile_id, float64 1-D data)`` pairs in ascending tile_id
     from a tile Dataset with a bounded reorder buffer — the driver holds
     only the tiles that arrived ahead of the next expected id, never the
-    whole raster (the scale fix for the single-file export paths flagged
-    in round-2 VERDICT item 6). Ray's streaming executor delivers blocks
+    whole raster (the single-file export paths must not assemble it).
+    Ray's streaming executor delivers blocks
     near lineage order, so the buffer stays O(out-of-orderness) ≪
     O(tiles); ``on_pending`` (a callable taking the current buffer size)
     lets tests assert that bound."""

@@ -24,6 +24,7 @@ import math
 import numpy as np
 import pandas as pd
 
+from ..stages.raster import RasterSpec, tile_task
 from .grids import WHITEBOX_NODATA
 from .raster_io import RasterHeader
 
@@ -212,36 +213,30 @@ def retrieve_srtm(south: int, north: int, west: int, east: int,
     lat0, lon0 = min(lats), min(lons)
     refs = {c: r for c, r in arrays.items()}
 
-    def band(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            r0 = int(tid) * tile_rows
-            r1 = min(r0 + tile_rows, rows)
-            blk = np.full((r1 - r0, cols), WHITEBOX_NODATA)
-            # source tiles overlapping this output band; NORTH/WEST tile
-            # written LAST wins at shared seam cells
-            for (lat, lon), ref in sorted(refs.items(),
-                                          key=lambda kv: (kv[0][0],
-                                                          -kv[0][1])):
-                # output row of the tile's top (north) row
-                top = (max(lats) - lat) * step
-                if top + side <= r0 or top >= r1:
-                    continue
-                a = ray.get(ref)
-                c0 = (lon - lon0) * step
-                s0, s1 = max(r0 - top, 0), min(r1 - top, side)
-                sub = a[s0:s1]
-                dst = blk[top + s0 - r0:top + s1 - r0, c0:c0 + side]
-                np.copyto(dst, sub, where=(sub != WHITEBOX_NODATA)
-                          | (dst == WHITEBOX_NODATA))
-            out["tile_id"].append(int(tid))
-            out["data"].append(blk.ravel())
-        return pd.DataFrame(out)
+    spec = RasterSpec(rows=rows, cols=cols, tile_rows=tile_rows)
 
-    n_tiles = -(-rows // tile_rows)
-    ds = rd.range(n_tiles, override_num_blocks=n_tiles).map_batches(
-        band, batch_format="numpy")
-    return hdr, ds
+    def band(tid: int) -> dict:
+        r0, r1 = spec.band(tid)
+        blk = np.full((r1 - r0, cols), WHITEBOX_NODATA)
+        # source tiles overlapping this output band; NORTH/WEST tile
+        # written LAST wins at shared seam cells
+        for (lat, lon), ref in sorted(refs.items(),
+                                      key=lambda kv: (kv[0][0], -kv[0][1])):
+            # output row of the tile's top (north) row
+            top = (max(lats) - lat) * step
+            if top + side <= r0 or top >= r1:
+                continue
+            a = ray.get(ref)
+            c0 = (lon - lon0) * step
+            s0, s1 = max(r0 - top, 0), min(r1 - top, side)
+            sub = a[s0:s1]
+            dst = blk[top + s0 - r0:top + s1 - r0, c0:c0 + side]
+            np.copyto(dst, sub, where=(sub != WHITEBOX_NODATA)
+                      | (dst == WHITEBOX_NODATA))
+        return {"tile_id": [tid], "data": [blk.ravel()]}
+
+    return hdr, tile_task(spec.n_tiles, band,
+                          override_num_blocks=spec.n_tiles)
 
 
 def _demo_fetcher(name: str):
@@ -289,7 +284,7 @@ def retrieve_srtm_mosaic_sql(south: int = 45, north: int = 46,
                              window: int = 8,
                              round_to: int = 6) -> str:
     """Exact DuckDB mirror of ``retrieve_srtm_query`` over the demo
-    transport (round-4: previously rows-only). Every stage is replayed:
+    transport. Every stage is replayed:
     the trig synth per tile (np.round half-to-even never meets an exact
     .5 on these irrational arguments, so SQL round matches), the
     k-nearest-hole-edge IDW fill with the impl's EXACT sequential

@@ -48,10 +48,9 @@ import math
 import numpy as np
 import pandas as pd
 import ray
-import ray.data as rd
 
 from .hydro import _tile_pointers
-from .raster import RasterSpec
+from .raster import RasterSpec, tile_task
 from .terrain import _DX, _DY
 
 _SQRT2 = math.sqrt(2.0)
@@ -74,7 +73,7 @@ def _j0_tile(spec: RasterSpec, tid: int):
     counts, making the doubling step uniformly absorbing."""
     z, ptr = _tile_pointers(spec, tid)
     H, W = z.shape
-    r0 = tid * spec.tile_rows
+    r0 = spec.band(tid)[0]
     rr = np.repeat(np.arange(H, dtype=np.int64), W)
     cc = np.tile(np.arange(W, dtype=np.int64), H)
     self_id = (r0 + rr) * W + cc
@@ -123,7 +122,7 @@ class _BlockCache:
         for t in np.unique(tt):
             tgt, ns, nd = self.block(k, int(t))
             m = tt == t
-            loc = pos[m] - int(t) * spec.tile_rows * spec.cols
+            loc = pos[m] - spec.band(t)[0] * spec.cols
             out_t[m] = tgt[loc]
             out_ns[m] = ns[loc]
             out_nd[m] = nd[loc]
@@ -143,7 +142,7 @@ def _advance_tile(spec: RasterSpec, tid: int, refs: dict):
     refs in a container are NOT auto-resolved, _BlockCache fetches only
     the tiles this tile's targets point into), puts the new block in
     the object store and returns (ref, changed) — O(1) driver traffic
-    per tile per round (round-2 verdict item 3)."""
+    per tile per round."""
     cache = _BlockCache([refs], spec)
     tgt, ns, nd = cache.block(0, tid)
     ing = tgt < spec.rows * spec.cols
@@ -184,7 +183,7 @@ def _tile_pairs(spec: RasterSpec, tid: int, z: np.ndarray):
     under the literal testByte edge rules (BranchLength.java:267-286):
     last grid row → E only; col 0 → no SW; last col → no E, no SE."""
     H, W = z.shape
-    r0 = tid * spec.tile_rows
+    r0 = spec.band(tid)[0]
     valid = z != spec.nodata
     rr = np.repeat(np.arange(H, dtype=np.int64), W).reshape(H, W)
     cc = np.tile(np.arange(W, dtype=np.int64), H).reshape(H, W)
@@ -280,35 +279,31 @@ def branch_length(spec: RasterSpec | None = None,
     n = spec.n_tiles
     W = spec.cols
 
-    def solve(batch) -> pd.DataFrame:
+    def solve(tid: int) -> list:
         cache = _BlockCache(levels, spec)
-        rows = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            z, _ = _tile_pointers(spec, tid)
-            H = z.shape[0]
-            r0 = tid * spec.tile_rows
-            a, b = _tile_pairs(spec, tid, z)
-            out = np.full(H * W, -32768.0)
-            extra_cell = np.empty(0, dtype=np.int64)
-            extra_val = np.empty(0)
-            if len(a):
-                ans, and_, bns, bnd = _descend_pairs(cache, K, a, b)
-                valA = ans * 1.0 + and_ * _SQRT2
-                valB = bns * 1.0 + bnd * _SQRT2
-                la = a - r0 * W
-                np.maximum.at(out, la, valA)
-                lb = b - r0 * W
-                inb = lb < H * W
-                np.maximum.at(out, lb[inb], valB[inb])
-                extra_cell = b[~inb]
-                extra_val = valB[~inb]
-            rows.append({"tile_id": tid, "shape0": H, "out": out.tobytes(),
-                         "extra_cell": extra_cell.tobytes(),
-                         "extra_val": extra_val.tobytes()})
-        return pd.DataFrame(rows)
+        z, _ = _tile_pointers(spec, tid)
+        H = z.shape[0]
+        r0 = spec.band(tid)[0]
+        a, b = _tile_pairs(spec, tid, z)
+        out = np.full(H * W, -32768.0)
+        extra_cell = np.empty(0, dtype=np.int64)
+        extra_val = np.empty(0)
+        if len(a):
+            ans, and_, bns, bnd = _descend_pairs(cache, K, a, b)
+            valA = ans * 1.0 + and_ * _SQRT2
+            valB = bns * 1.0 + bnd * _SQRT2
+            la = a - r0 * W
+            np.maximum.at(out, la, valA)
+            lb = b - r0 * W
+            inb = lb < H * W
+            np.maximum.at(out, lb[inb], valB[inb])
+            extra_cell = b[~inb]
+            extra_val = valB[~inb]
+        return [{"tile_id": tid, "shape0": H, "out": out.tobytes(),
+                 "extra_cell": extra_cell.tobytes(),
+                 "extra_val": extra_val.tobytes()}]
 
-    res = rd.range(n).map_batches(solve, batch_format="numpy").to_pandas()
+    res = tile_task(n, solve).to_pandas()
     tiles = {}
     for r in res.sort_values("tile_id").itertuples():
         tiles[int(r.tile_id)] = [np.frombuffer(r.out).copy(), int(r.shape0)]
@@ -317,7 +312,7 @@ def branch_length(spec: RasterSpec | None = None,
         vals = np.frombuffer(r.extra_val)
         for cell, val in zip(cells, vals):
             t = int((cell // W) // spec.tile_rows)
-            loc = int(cell - t * spec.tile_rows * W)
+            loc = int(cell - spec.band(t)[0] * W)
             if tiles[t][0][loc] < val:
                 tiles[t][0][loc] = val
     frames = []
@@ -329,7 +324,7 @@ def branch_length(spec: RasterSpec | None = None,
         written = out != spec.nodata
         out = np.where(written, out / 1000.0, out)
         frames.append(pd.DataFrame({
-            "row_id": tid * spec.tile_rows + np.arange(H),
+            "row_id": spec.band(tid)[0] + np.arange(H),
             "n_valid": written.sum(axis=1).astype(np.int64),
             "row_sum": np.round(np.where(written, out, 0.0).sum(axis=1),
                                 round_to)}))

@@ -40,7 +40,7 @@ import pandas as pd
 import ray
 import ray.data as rd
 
-from .raster import RasterSpec
+from .raster import RasterSpec, tile_task
 
 _DX = (1, 1, 1, 0, -1, -1, -1, 0)
 _DY = (-1, 0, 1, 1, 1, 0, -1, -1)
@@ -248,28 +248,23 @@ def breach_depressions(spec: RasterSpec | None = None,
     nodata = spec.nodata
 
     # pass 1: pits per band (halo-generated stencil)
-    def pits_of(batch) -> pd.DataFrame:
-        out = []
-        for b in batch["id"]:
-            r0 = int(b) * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, rows)
-            lo = max(r0 - 1, 0)
-            hi = min(r1 + 1, rows)
-            g = _grid_rows(spec, lo, hi)
-            pr, pc = [], []
-            for r, c in find_pits(g, nodata):
-                gr = lo + r
-                if r0 <= gr < r1 and 0 < gr < rows - 1:
-                    pr.append(gr)
-                    pc.append(c)
-            zmax = g[g != nodata].max() if (g != nodata).any() else 0.0
-            out.append({"band": int(b), "zmax": float(zmax),
-                        "pr": np.asarray(pr, dtype=np.int64).tobytes(),
-                        "pc": np.asarray(pc, dtype=np.int64).tobytes()})
-        return pd.DataFrame(out)
+    def pits_of(b: int) -> list:
+        r0, r1 = spec.band(b)
+        lo = max(r0 - 1, 0)
+        hi = min(r1 + 1, rows)
+        g = _grid_rows(spec, lo, hi)
+        pr, pc = [], []
+        for r, c in find_pits(g, nodata):
+            gr = lo + r
+            if r0 <= gr < r1 and 0 < gr < rows - 1:
+                pr.append(gr)
+                pc.append(c)
+        zmax = g[g != nodata].max() if (g != nodata).any() else 0.0
+        return [{"band": b, "zmax": float(zmax),
+                 "pr": np.asarray(pr, dtype=np.int64).tobytes(),
+                 "pc": np.asarray(pc, dtype=np.int64).tobytes()}]
 
-    res = (rd.range(spec.n_tiles)
-           .map_batches(pits_of, batch_format="numpy").to_pandas()
+    res = (tile_task(spec.n_tiles, pits_of).to_pandas()
            .sort_values("band"))
     pits = []
     for r in res.itertuples():
@@ -317,27 +312,22 @@ def breach_depressions(spec: RasterSpec | None = None,
                else np.empty(0))
     ref = ray.put((cell_arr, val_arr))
 
-    def finalize(batch) -> pd.DataFrame:
+    def finalize(b: int) -> pd.DataFrame:
         cells, vals = ray.get(ref) if isinstance(ref, ray.ObjectRef) \
             else ref
-        out = []
-        for b in batch["id"]:
-            r0 = int(b) * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, rows)
-            g = _grid_rows(spec, r0, r1)
-            m = (cells >= r0 * cols) & (cells < r1 * cols)
-            loc = cells[m] - r0 * cols
-            g.ravel()[loc] = vals[m]
-            ok = g != nodata
-            out.append(pd.DataFrame({
-                "row_id": np.arange(r0, r1),
-                "n_valid": ok.sum(axis=1).astype(np.int64),
-                "row_sum": np.round(np.where(ok, g, 0.0).sum(axis=1),
-                                    round_to)}))
-        return pd.concat(out, ignore_index=True)
+        r0, r1 = spec.band(b)
+        g = _grid_rows(spec, r0, r1)
+        m = (cells >= r0 * cols) & (cells < r1 * cols)
+        loc = cells[m] - r0 * cols
+        g.ravel()[loc] = vals[m]
+        ok = g != nodata
+        return pd.DataFrame({
+            "row_id": np.arange(r0, r1),
+            "n_valid": ok.sum(axis=1).astype(np.int64),
+            "row_sum": np.round(np.where(ok, g, 0.0).sum(axis=1),
+                                round_to)})
 
-    return (rd.range(spec.n_tiles)
-            .map_batches(finalize, batch_format="numpy").to_pandas()
+    return (tile_task(spec.n_tiles, finalize).to_pandas()
             .sort_values("row_id").reset_index(drop=True))
 
 

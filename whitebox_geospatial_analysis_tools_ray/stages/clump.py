@@ -23,9 +23,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import ray
-import ray.data as rd
 
-from .raster import RasterSpec, synth_value
+from .raster import RasterSpec, synth_value, tile_task
 
 
 class _UF:
@@ -86,41 +85,32 @@ def clump(spec: RasterSpec | None = None, class_width: float = 250.0,
     Returns (clump_id, klass, n_cells) sorted by clump_id, where
     clump_id = min linear cell index of the component."""
     spec = spec or RasterSpec()
-    tile_rows, cols = spec.tile_rows, spec.cols
+    cols = spec.cols
 
-    def per_tile(batch) -> pd.DataFrame:
-        recs = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * tile_rows
-            r1 = min(r0 + tile_rows, spec.rows)
-            cell = np.arange(r0 * cols, r1 * cols, dtype=np.int64)
-            v = synth_value(cell).reshape(-1, cols)
-            klass = np.where(v == spec.nodata, -1,
-                             np.floor(v / class_width)).astype(np.int64)
-            labels = label_tile(klass)
-            m = labels >= 0
-            lin = cell.reshape(-1, cols)
-            df = pd.DataFrame({"lab": labels[m], "cell": lin[m],
-                               "kls": klass[m]})
-            g = df.groupby("lab", sort=False)
-            stats = g.agg(n=("cell", "size"), min_cell=("cell", "min"),
-                          kls=("kls", "first")).reset_index()
-            stats["tile_id"] = tid
-            # boundary strips: first and last row of the tile
-            edges = []
-            for rr, which in ((0, "top"), (labels.shape[0] - 1, "bot")):
-                edges.append(pd.DataFrame({
-                    "tile_id": tid, "which": which, "col": np.arange(cols),
-                    "lab": labels[rr], "kls": klass[rr]}))
-            recs.append((stats, pd.concat(edges, ignore_index=True)))
-        stats = pd.concat([r[0] for r in recs], ignore_index=True)
-        bounds = pd.concat([r[1] for r in recs], ignore_index=True)
+    def per_tile(tid: int) -> pd.DataFrame:
+        cell = spec.band_cells(tid)
+        v = synth_value(cell).reshape(-1, cols)
+        klass = np.where(v == spec.nodata, -1,
+                         np.floor(v / class_width)).astype(np.int64)
+        labels = label_tile(klass)
+        m = labels >= 0
+        lin = cell.reshape(-1, cols)
+        df = pd.DataFrame({"lab": labels[m], "cell": lin[m],
+                           "kls": klass[m]})
+        g = df.groupby("lab", sort=False)
+        stats = g.agg(n=("cell", "size"), min_cell=("cell", "min"),
+                      kls=("kls", "first")).reset_index()
+        stats["tile_id"] = tid
         stats["kind"] = "s"
-        bounds["kind"] = "b"
+        # boundary strips: first and last row of the tile
+        bounds = pd.concat([pd.DataFrame({
+            "tile_id": tid, "which": which, "col": np.arange(cols),
+            "lab": labels[rr], "kls": klass[rr], "kind": "b"})
+            for rr, which in ((0, "top"), (labels.shape[0] - 1, "bot"))],
+            ignore_index=True)
         return pd.concat([stats, bounds], ignore_index=True)
 
-    raw = rd.range(spec.n_tiles).map_batches(per_tile, batch_format="numpy")
+    raw = tile_task(spec.n_tiles, per_tile)
     df = raw.to_pandas()  # O(#labels + #tiles·2·cols) — small by design
     stats = df[df["kind"] == "s"]
     bounds = df[df["kind"] == "b"]

@@ -25,9 +25,8 @@ import json
 import numpy as np
 import pandas as pd
 import ray
-import ray.data as rd
 
-from .raster import RasterSpec, synth_value
+from .raster import RasterSpec, synth_value, tile_task
 
 _SQRT2 = float(np.sqrt(2.0))
 _DX = (1, 1, 1, 0, -1, -1, -1, 0)
@@ -53,8 +52,7 @@ def _tile_solve(spec: RasterSpec, tid: int, seeds: dict):
     """Dijkstra inside one row band. ``seeds`` maps global cell →
     (dist, src) initial labels from boundary messages. Returns
     (dist, src arrays, top-row labels, bottom-row labels)."""
-    r0 = tid * spec.tile_rows
-    r1 = min(r0 + spec.tile_rows, spec.rows)
+    r0, r1 = spec.band(tid)
     H, W = r1 - r0, spec.cols
     cell = np.arange(r0 * W, r1 * W, dtype=np.int64)
     cs = cost_surface(cell, spec.nodata).reshape(H, W)
@@ -94,7 +92,7 @@ def _ghost_candidates(dist, src, cs, spec, tid, side):
     min over its in-band edge-row neighbours u of
     (d(u) + (cs(u)+cs(v))/2·dist, src(u)). Emitted to the owner band."""
     H, W = dist.shape
-    r0 = tid * spec.tile_rows
+    r0 = spec.band(tid)[0]
     edge = 0 if side < 0 else H - 1
     grow = r0 - 1 if side < 0 else r0 + H
     if grow < 0 or grow >= spec.rows:
@@ -164,24 +162,19 @@ def cost_accumulation(spec: RasterSpec | None = None,
     W = spec.cols
     refs = cost_tile_refs(spec, max_rounds)
 
-    def per_tile(batch) -> pd.DataFrame:
-        out = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            dist, src = ray.get(refs[tid])   # only this task's tile
-            r0 = tid * spec.tile_rows
-            fin = np.isfinite(dist)
-            out.append(pd.DataFrame({
-                "row_id": np.arange(r0, r0 + dist.shape[0]),
-                "n_reached": fin.sum(axis=1).astype(np.int64),
-                "sum_cost": np.round(np.where(fin, dist, 0.0).sum(axis=1),
-                                     round_to),
-                "sum_src": np.where(fin, src, 0).sum(axis=1)
-                .astype(np.int64)}))
-        return pd.concat(out, ignore_index=True)
+    def per_tile(tid: int) -> pd.DataFrame:
+        dist, src = ray.get(refs[tid])   # only this task's tile
+        r0 = spec.band(tid)[0]
+        fin = np.isfinite(dist)
+        return pd.DataFrame({
+            "row_id": np.arange(r0, r0 + dist.shape[0]),
+            "n_reached": fin.sum(axis=1).astype(np.int64),
+            "sum_cost": np.round(np.where(fin, dist, 0.0).sum(axis=1),
+                                 round_to),
+            "sum_src": np.where(fin, src, 0).sum(axis=1)
+            .astype(np.int64)})
 
-    final = (rd.range(spec.n_tiles).map_batches(per_tile,
-                                                batch_format="numpy")
+    final = (tile_task(spec.n_tiles, per_tile)
              .to_pandas())
     return final.sort_values("row_id").reset_index(drop=True)
 
@@ -237,15 +230,11 @@ def cost_allocation(spec: RasterSpec | None = None,
     W = spec.cols
     refs = cost_tile_refs(spec, max_rounds)
 
-    def partial(batch) -> pd.DataFrame:
-        parts = []
-        for tid in batch["id"]:
-            dist, src = ray.get(refs[int(tid)])
-            fin = np.isfinite(dist)
-            labs, counts = np.unique(src[fin], return_counts=True)
-            parts.append(pd.DataFrame({"src": labs, "n": counts}))
-        return pd.concat(parts, ignore_index=True) if parts else \
-            pd.DataFrame({"src": [], "n": []})
+    def partial(tid: int) -> pd.DataFrame:
+        dist, src = ray.get(refs[tid])
+        fin = np.isfinite(dist)
+        labs, counts = np.unique(src[fin], return_counts=True)
+        return pd.DataFrame({"src": labs, "n": counts})
 
     # one summary row per combine call (whole sources each), folded here
     def summary(df: pd.DataFrame) -> pd.DataFrame:
@@ -258,7 +247,7 @@ def cost_allocation(spec: RasterSpec | None = None,
 
     from .util import combine
     calls = combine(
-        rd.range(spec.n_tiles).map_batches(partial, batch_format="numpy"),
+        tile_task(spec.n_tiles, partial),
         "src", summary).to_pandas()
     if calls.empty:
         return calls
@@ -298,7 +287,7 @@ def cost_pathway(spec: RasterSpec | None = None,
             return np.inf
         return float(tl[gr // spec.tile_rows][0][gr % spec.tile_rows, gc])
 
-    def solve(batch) -> pd.DataFrame:
+    def solve(tid: int) -> pd.DataFrame:
         class _Lazy(dict):
             def __missing__(self, t):
                 v = ray.get(refs[t])
@@ -308,44 +297,41 @@ def cost_pathway(spec: RasterSpec | None = None,
         cell = np.arange(spec.rows * W, dtype=np.int64)
         cs = cost_surface(cell, spec.nodata).reshape(spec.rows, W)
         rows = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * spec.tile_rows
-            h = tl[tid][0].shape[0]
-            pour = pour_point_mask(r0, r0 + h, W)
-            for pr, pc in zip(*np.nonzero(pour)):
-                gr, gc = r0 + int(pr), int(pc)
-                d0 = dval(tl, gr, gc)
-                if not np.isfinite(d0):
-                    continue
-                steps = 0
-                while tl[gr // spec.tile_rows][0][gr % spec.tile_rows,
-                                                  gc] > 0.0:
-                    best = (np.inf, -1)
-                    for i in range(8):
-                        r2, c2 = gr + _DY[i], gc + _DX[i]
-                        dp = dval(tl, r2, c2)
-                        if not np.isfinite(dp):
-                            continue
-                        cand = dp + (cs[r2, c2] + cs[gr, gc]) / 2.0 \
-                            * _DIST[i]
-                        if cand < best[0]:
-                            best = (cand, i)
-                    if best[1] < 0:  # pragma: no cover - disconnected
-                        break
-                    gr += _DY[best[1]]
-                    gc += _DX[best[1]]
-                    steps += 1
-                    if steps > spec.rows * W:  # pragma: no cover
-                        raise RuntimeError("pathway did not terminate")
-                rows.append({"dest_cell": (r0 + int(pr)) * W + int(pc),
-                             "src_cell": gr * W + gc,
-                             "path_len": steps,
-                             "path_cost": round(d0, round_to)})
+        r0 = spec.band(tid)[0]
+        h = tl[tid][0].shape[0]
+        pour = pour_point_mask(r0, r0 + h, W)
+        for pr, pc in zip(*np.nonzero(pour)):
+            gr, gc = r0 + int(pr), int(pc)
+            d0 = dval(tl, gr, gc)
+            if not np.isfinite(d0):
+                continue
+            steps = 0
+            while tl[gr // spec.tile_rows][0][gr % spec.tile_rows,
+                                              gc] > 0.0:
+                best = (np.inf, -1)
+                for i in range(8):
+                    r2, c2 = gr + _DY[i], gc + _DX[i]
+                    dp = dval(tl, r2, c2)
+                    if not np.isfinite(dp):
+                        continue
+                    cand = dp + (cs[r2, c2] + cs[gr, gc]) / 2.0 \
+                        * _DIST[i]
+                    if cand < best[0]:
+                        best = (cand, i)
+                if best[1] < 0:  # pragma: no cover - disconnected
+                    break
+                gr += _DY[best[1]]
+                gc += _DX[best[1]]
+                steps += 1
+                if steps > spec.rows * W:  # pragma: no cover
+                    raise RuntimeError("pathway did not terminate")
+            rows.append({"dest_cell": (r0 + int(pr)) * W + int(pc),
+                         "src_cell": gr * W + gc,
+                         "path_len": steps,
+                         "path_cost": round(d0, round_to)})
         return pd.DataFrame(rows) if rows else pd.DataFrame(
             {"dest_cell": [], "src_cell": [], "path_len": [],
              "path_cost": []})
 
-    out = (rd.range(spec.n_tiles)
-           .map_batches(solve, batch_format="numpy").to_pandas())
+    out = tile_task(spec.n_tiles, solve).to_pandas()
     return out.sort_values("dest_cell").reset_index(drop=True)

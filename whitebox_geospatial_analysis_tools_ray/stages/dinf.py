@@ -33,7 +33,7 @@ import pandas as pd
 import ray
 import ray.data as rd
 
-from .raster import RasterSpec, synth_value
+from .raster import RasterSpec, padded_band, synth_value
 
 _AC = (0, 1, 1, 2, 2, 3, 3, 4)
 _AF = (1, -1, 1, -1, 1, -1, 1, -1)
@@ -125,16 +125,8 @@ def _sector_split(fd: float):
 
 
 def _tile_pointer_dinf(spec: RasterSpec, tid: int):
-    r0 = tid * spec.tile_rows
-    r1 = min(r0 + spec.tile_rows, spec.rows)
-    lo, hi = max(r0 - 1, 0), min(r1 + 1, spec.rows)
-    cell = np.arange(lo * spec.cols, hi * spec.cols, dtype=np.int64)
-    zext = synth_value(cell).reshape(-1, spec.cols)
-    pad = np.full((hi - lo + 2, spec.cols + 2), spec.nodata)
-    pad[1:-1, 1:-1] = zext
-    fd_ext = dinf_pointer_kernel(pad, spec.nodata)[1:-1, 1:-1]
-    sl = slice(r0 - lo, r0 - lo + (r1 - r0))
-    return zext[sl], fd_ext[sl]
+    pad = padded_band(spec, tid, 1)
+    return pad[1:-1, 1:-1], dinf_pointer_kernel(pad, spec.nodata)[1:-1, 1:-1]
 
 
 def _dinf_tile_accum(z, fd, inflow, nodata):
@@ -188,7 +180,7 @@ def flow_accumulation_dinf(spec: RasterSpec | None = None,
     """(row_id, n_valid, sum_acc) per raster row — banded fixed point
     via stages/fixed_point.updn_fixed_point: per-tile (z, fd) state is
     built once in the object store and only the O(cols) up/dn message
-    dicts travel per round (round-2 verdict item 3)."""
+    dicts travel per round."""
     from .fixed_point import updn_fixed_point
 
     spec = spec or RasterSpec()
@@ -203,7 +195,7 @@ def flow_accumulation_dinf(spec: RasterSpec | None = None,
     def final(state, tid: int, acc) -> pd.DataFrame:
         z, _ = state
         valid = z != spec.nodata
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         return pd.DataFrame({
             "row_id": np.arange(r0, r0 + z.shape[0]),
             "n_valid": valid.sum(axis=1).astype(np.int64),
@@ -297,7 +289,7 @@ def mass_flux_dinf(spec: RasterSpec | None = None, max_rounds: int = 64,
 
     def build(tid: int):
         z, fd = _tile_pointer_dinf(spec, tid)
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         cell = np.arange(r0 * cols, (r0 + z.shape[0]) * cols,
                          dtype=np.int64)
         ld, ef, ab = (a.reshape(z.shape) for a in _flux_params(cell))
@@ -310,7 +302,7 @@ def mass_flux_dinf(spec: RasterSpec | None = None, max_rounds: int = 64,
     def final(state, tid: int, out) -> pd.DataFrame:
         z = state[0]
         valid = z != spec.nodata
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         return pd.DataFrame({
             "row_id": np.arange(r0, r0 + z.shape[0]),
             "n_valid": valid.sum(axis=1).astype(np.int64),
@@ -460,16 +452,9 @@ def mdinf_portions_kernel(pad: np.ndarray, nodata: float,
 
 
 def _tile_portions_mdinf(spec: RasterSpec, tid: int, h_exp: float):
-    r0 = tid * spec.tile_rows
-    r1 = min(r0 + spec.tile_rows, spec.rows)
-    lo, hi = max(r0 - 1, 0), min(r1 + 1, spec.rows)
-    cell = np.arange(lo * spec.cols, hi * spec.cols, dtype=np.int64)
-    zext = synth_value(cell).reshape(-1, spec.cols)
-    pad = np.full((hi - lo + 2, spec.cols + 2), spec.nodata)
-    pad[1:-1, 1:-1] = zext
-    por = mdinf_portions_kernel(pad, spec.nodata, h_exp=h_exp)
-    sl = slice(r0 - lo, r0 - lo + (r1 - r0))
-    return zext[sl], por[:, sl, :]
+    pad = padded_band(spec, tid, 1)
+    return pad[1:-1, 1:-1], mdinf_portions_kernel(pad, spec.nodata,
+                                                  h_exp=h_exp)
 
 
 def _mdinf_tile_accum(z, por, inflow, nodata):
@@ -529,7 +514,7 @@ def flow_accumulation_mdinf(spec: RasterSpec | None = None,
     def final(state, tid: int, acc) -> pd.DataFrame:
         z = state[0]
         valid = z != spec.nodata
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         return pd.DataFrame({
             "row_id": np.arange(r0, r0 + z.shape[0]),
             "n_valid": valid.sum(axis=1).astype(np.int64),

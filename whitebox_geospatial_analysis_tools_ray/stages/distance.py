@@ -28,7 +28,7 @@ import pandas as pd
 import ray
 import ray.data as rd
 
-from .raster import RasterSpec
+from .raster import RasterSpec, tile_task
 
 _A = 2654435761
 _M = 4294967296
@@ -71,6 +71,21 @@ def _local_col_dist(mask: np.ndarray) -> np.ndarray:
     return d
 
 
+def _target_extremes(spec: RasterSpec) -> "ray.ObjectRef":
+    """Phase 1a: every tile's per-column (min, max) target rows as two
+    (n_tiles, cols) arrays — tiny, driver-collected, then put once for
+    the row-pass tasks."""
+
+    def extremes(tid: int) -> dict:
+        r0, r1 = spec.band(tid)
+        mn, mx = _col_extremes(target_mask_for_rows(r0, r1, spec.cols), r0)
+        return {"tile_id": [tid], "mn": [mn], "mx": [mx]}
+
+    ext = tile_task(spec.n_tiles, extremes).to_pandas().sort_values("tile_id")
+    return ray.put(tuple(np.stack([np.asarray(v, dtype=np.int64)
+                                   for v in ext[c]]) for c in ("mn", "mx")))
+
+
 def euclidean_distance(spec: RasterSpec | None = None,
                        round_to: int = 6,
                        buffer_d: float | None = None) -> "rd.Dataset":
@@ -80,72 +95,46 @@ def euclidean_distance(spec: RasterSpec | None = None,
     (WhiteboxGIS Buffer — cells within distance d of a target):
     (row_id, n_valid, n_buffer) with the EXACT integer d² ≤ d·d test."""
     spec = spec or RasterSpec()
-    tile_rows, cols = spec.tile_rows, spec.cols
+    cols = spec.cols
 
-    # phase 1a: per-tile per-column target extremes (tiny, driver-collected)
-    def extremes(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "mn": [], "mx": []}
-        for tid in batch["id"]:
-            r0 = int(tid) * tile_rows
-            r1 = min(r0 + tile_rows, spec.rows)
-            mn, mx = _col_extremes(target_mask_for_rows(r0, r1, cols), r0)
-            out["tile_id"].append(int(tid))
-            out["mn"].append(mn)
-            out["mx"].append(mx)
-        return pd.DataFrame(out)
-
-    ext = (rd.range(spec.n_tiles)
-           .map_batches(extremes, batch_format="numpy").to_pandas())
-    ext = ext.sort_values("tile_id")
-    mins = np.stack([np.asarray(v, dtype=np.int64) for v in ext["mn"]])
-    maxs = np.stack([np.asarray(v, dtype=np.int64) for v in ext["mx"]])
-    summary_ref = ray.put((mins, maxs))  # (n_tiles, cols) each
-
+    summary_ref = _target_extremes(spec)
     n_tiles = spec.n_tiles
 
-    def per_tile(batch) -> pd.DataFrame:
+    def per_tile(tid: int) -> dict:
         mins_, maxs_ = (ray.get(summary_ref)
                         if isinstance(summary_ref, ray.ObjectRef)
                         else summary_ref)
-        frames = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * tile_rows
-            r1 = min(r0 + tile_rows, spec.rows)
-            H = r1 - r0
-            mask = target_mask_for_rows(r0, r1, cols)
-            g = _local_col_dist(mask)  # |Δrow| in-tile
-            rows = np.arange(r0, r1, dtype=np.int64)[:, None]
-            # cross-tile candidates: nearest edge-most target per column
-            for t2 in range(n_tiles):
-                if t2 == tid:
-                    continue
-                cand = maxs_[t2] if t2 < tid else mins_[t2]  # (cols,)
-                dist = np.abs(rows - cand)  # (H, cols)
-                dist = np.where(cand[None, :] >= 0, dist, BIG)
-                g = np.minimum(g, dist)
-            # phase 2: row pass, D² = min over x' ((x-x')² + g(x')²)
-            xs = np.arange(cols, dtype=np.int64)
-            dx2 = (xs[:, None] - xs[None, :]) ** 2  # (cols, cols)
-            # cap the no-target sentinel BELOW the int64² overflow line;
-            # any real distance (< rows+cols) always beats it in the min
-            g2 = np.minimum(g, 1_000_000).astype(np.int64) ** 2
-            d2 = (g2[:, None, :] + dx2[None, :, :]).min(axis=2)  # (H, cols)
-            if buffer_d is not None:
-                inside = d2 <= int(buffer_d) * int(buffer_d)
-                frames.append(pd.DataFrame({
-                    "row_id": np.arange(r0, r1),
-                    "n_valid": np.full(H, cols, dtype=np.int64),
-                    "n_buffer": inside.sum(axis=1).astype(np.int64)}))
+        r0, r1 = spec.band(tid)
+        H = r1 - r0
+        mask = target_mask_for_rows(r0, r1, cols)
+        g = _local_col_dist(mask)  # |Δrow| in-tile
+        rows = np.arange(r0, r1, dtype=np.int64)[:, None]
+        # cross-tile candidates: nearest edge-most target per column
+        for t2 in range(n_tiles):
+            if t2 == tid:
                 continue
-            dist = np.sqrt(d2.astype(np.float64))
-            frames.append(pd.DataFrame({
-                "row_id": np.arange(r0, r1),
+            cand = maxs_[t2] if t2 < tid else mins_[t2]  # (cols,)
+            dist = np.abs(rows - cand)  # (H, cols)
+            dist = np.where(cand[None, :] >= 0, dist, BIG)
+            g = np.minimum(g, dist)
+        # phase 2: row pass, D² = min over x' ((x-x')² + g(x')²)
+        xs = np.arange(cols, dtype=np.int64)
+        dx2 = (xs[:, None] - xs[None, :]) ** 2  # (cols, cols)
+        # cap the no-target sentinel BELOW the int64² overflow line;
+        # any real distance (< rows+cols) always beats it in the min
+        g2 = np.minimum(g, 1_000_000).astype(np.int64) ** 2
+        d2 = (g2[:, None, :] + dx2[None, :, :]).min(axis=2)  # (H, cols)
+        if buffer_d is not None:
+            inside = d2 <= int(buffer_d) * int(buffer_d)
+            return {"row_id": np.arange(r0, r1),
+                    "n_valid": np.full(H, cols, dtype=np.int64),
+                    "n_buffer": inside.sum(axis=1).astype(np.int64)}
+        dist = np.sqrt(d2.astype(np.float64))
+        return {"row_id": np.arange(r0, r1),
                 "n_valid": np.full(H, cols, dtype=np.int64),
-                "row_sum": np.round(dist.sum(axis=1), round_to)}))
-        return pd.concat(frames, ignore_index=True)
+                "row_sum": np.round(dist.sum(axis=1), round_to)}
 
-    return rd.range(spec.n_tiles).map_batches(per_tile, batch_format="numpy")
+    return tile_task(spec.n_tiles, per_tile)
 
 
 # ---------------------------------------------------------------------------
@@ -185,71 +174,50 @@ def euclidean_allocation(spec: RasterSpec | None = None,
     """(row_id, row_sum, sum_alloc): per-row distance checksum + the sum
     of allocated target cell ids."""
     spec = spec or RasterSpec()
-    tile_rows, cols = spec.tile_rows, spec.cols
+    cols = spec.cols
 
-    def extremes(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "mn": [], "mx": []}
-        for tid in batch["id"]:
-            r0 = int(tid) * tile_rows
-            r1 = min(r0 + tile_rows, spec.rows)
-            mn, mx = _col_extremes(target_mask_for_rows(r0, r1, cols), r0)
-            out["tile_id"].append(int(tid))
-            out["mn"].append(mn)
-            out["mx"].append(mx)
-        return pd.DataFrame(out)
-
-    ext = (rd.range(spec.n_tiles)
-           .map_batches(extremes, batch_format="numpy").to_pandas())
-    ext = ext.sort_values("tile_id")
-    mins = np.stack([np.asarray(v, dtype=np.int64) for v in ext["mn"]])
-    maxs = np.stack([np.asarray(v, dtype=np.int64) for v in ext["mx"]])
-    summary_ref = ray.put((mins, maxs))
+    summary_ref = _target_extremes(spec)
     n_tiles = spec.n_tiles
     K = np.int64(spec.rows * cols)  # > any target gcell
 
-    def per_tile(batch) -> pd.DataFrame:
+    def per_tile(tid: int) -> pd.DataFrame:
         mins_, maxs_ = (ray.get(summary_ref)
                         if isinstance(summary_ref, ray.ObjectRef)
                         else summary_ref)
-        frames = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * tile_rows
-            r1 = min(r0 + tile_rows, spec.rows)
-            H = r1 - r0
-            mask = target_mask_for_rows(r0, r1, cols)
-            g, trow = _local_col_dist_row(mask, r0)
-            rows = np.arange(r0, r1, dtype=np.int64)[:, None]
-            for t2 in range(n_tiles):
-                if t2 == tid:
-                    continue
-                cand = maxs_[t2] if t2 < tid else mins_[t2]
-                dist = np.where(cand[None, :] >= 0,
-                                np.abs(rows - cand), BIG)
-                better = (dist < g) | ((dist == g) & (cand[None, :] >= 0)
-                                       & (cand[None, :] < trow))
-                g = np.where(better, dist, g)
-                trow = np.where(better, np.broadcast_to(cand, g.shape),
-                                trow)
-            xs = np.arange(cols, dtype=np.int64)
-            dx2 = (xs[:, None] - xs[None, :]) ** 2  # (x, x')
-            g2 = np.minimum(g, 1_000_000).astype(np.int64) ** 2
-            tg = trow * cols + xs[None, :]  # target gcell per (row, x')
-            tg = np.where(trow >= 0, tg, K - 1)
-            # lexicographic (d², target gcell) via one combined int key
-            key = ((g2[:, None, :] + dx2[None, :, :]) * K
-                   + tg[:, None, :])  # (H, x, x')
-            best = key.min(axis=2)
-            d2 = best // K
-            alloc = best % K
-            dist = np.sqrt(d2.astype(np.float64))
-            frames.append(pd.DataFrame({
-                "row_id": np.arange(r0, r1),
-                "row_sum": np.round(dist.sum(axis=1), round_to),
-                "sum_alloc": alloc.sum(axis=1).astype(np.int64)}))
-        return pd.concat(frames, ignore_index=True)
+        r0, r1 = spec.band(tid)
+        H = r1 - r0
+        mask = target_mask_for_rows(r0, r1, cols)
+        g, trow = _local_col_dist_row(mask, r0)
+        rows = np.arange(r0, r1, dtype=np.int64)[:, None]
+        for t2 in range(n_tiles):
+            if t2 == tid:
+                continue
+            cand = maxs_[t2] if t2 < tid else mins_[t2]
+            dist = np.where(cand[None, :] >= 0,
+                            np.abs(rows - cand), BIG)
+            better = (dist < g) | ((dist == g) & (cand[None, :] >= 0)
+                                   & (cand[None, :] < trow))
+            g = np.where(better, dist, g)
+            trow = np.where(better, np.broadcast_to(cand, g.shape),
+                            trow)
+        xs = np.arange(cols, dtype=np.int64)
+        dx2 = (xs[:, None] - xs[None, :]) ** 2  # (x, x')
+        g2 = np.minimum(g, 1_000_000).astype(np.int64) ** 2
+        tg = trow * cols + xs[None, :]  # target gcell per (row, x')
+        tg = np.where(trow >= 0, tg, K - 1)
+        # lexicographic (d², target gcell) via one combined int key
+        key = ((g2[:, None, :] + dx2[None, :, :]) * K
+               + tg[:, None, :])  # (H, x, x')
+        best = key.min(axis=2)
+        d2 = best // K
+        alloc = best % K
+        dist = np.sqrt(d2.astype(np.float64))
+        return pd.DataFrame({
+            "row_id": np.arange(r0, r1),
+            "row_sum": np.round(dist.sum(axis=1), round_to),
+            "sum_alloc": alloc.sum(axis=1).astype(np.int64)})
 
-    return rd.range(spec.n_tiles).map_batches(per_tile, batch_format="numpy")
+    return tile_task(spec.n_tiles, per_tile)
 
 
 def burn_streams(spec: RasterSpec | None = None,
@@ -269,63 +237,41 @@ def burn_streams(spec: RasterSpec | None = None,
     from .raster import synth_value
 
     spec = spec or RasterSpec()
-    tile_rows, cols = spec.tile_rows, spec.cols
+    cols = spec.cols
 
-    def extremes(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "mn": [], "mx": []}
-        for tid in batch["id"]:
-            r0 = int(tid) * tile_rows
-            r1 = min(r0 + tile_rows, spec.rows)
-            mn, mx = _col_extremes(target_mask_for_rows(r0, r1, cols), r0)
-            out["tile_id"].append(int(tid))
-            out["mn"].append(mn)
-            out["mx"].append(mx)
-        return pd.DataFrame(out)
-
-    ext = (rd.range(spec.n_tiles)
-           .map_batches(extremes, batch_format="numpy").to_pandas()
-           .sort_values("tile_id"))
-    mins = np.stack([np.asarray(v, dtype=np.int64) for v in ext["mn"]])
-    maxs = np.stack([np.asarray(v, dtype=np.int64) for v in ext["mx"]])
-    summary_ref = ray.put((mins, maxs))
+    summary_ref = _target_extremes(spec)
     n_tiles = spec.n_tiles
 
-    def per_tile(batch) -> pd.DataFrame:
+    def per_tile(tid: int) -> pd.DataFrame:
         mins_, maxs_ = (ray.get(summary_ref)
                         if isinstance(summary_ref, ray.ObjectRef)
                         else summary_ref)
-        frames = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * tile_rows
-            r1 = min(r0 + tile_rows, spec.rows)
-            H = r1 - r0
-            mask = target_mask_for_rows(r0, r1, cols)
-            g = _local_col_dist(mask)
-            rows = np.arange(r0, r1, dtype=np.int64)[:, None]
-            for t2 in range(n_tiles):
-                if t2 == tid:
-                    continue
-                cand = maxs_[t2] if t2 < tid else mins_[t2]
-                dist = np.abs(rows - cand)
-                dist = np.where(cand[None, :] >= 0, dist, BIG)
-                g = np.minimum(g, dist)
-            xs = np.arange(cols, dtype=np.int64)
-            dx2 = (xs[:, None] - xs[None, :]) ** 2
-            g2 = np.minimum(g, 1_000_000).astype(np.int64) ** 2
-            d2 = (g2[:, None, :] + dx2[None, :, :]).min(axis=2)
-            dist = np.sqrt(d2.astype(np.float64))
-            cell = (rows * cols + xs[None, :])
-            v = synth_value(cell.ravel()).reshape(H, cols)
-            burn = np.power(1.0 / (1.0 + dist), decay) * decrement
-            out = np.where(v == spec.nodata, spec.nodata, v - burn)
-            valid = out != spec.nodata
-            frames.append(pd.DataFrame({
-                "row_id": np.arange(r0, r1),
-                "n_valid": valid.sum(axis=1).astype(np.int64),
-                "row_sum": np.round(np.where(valid, out, 0.0).sum(axis=1),
-                                    round_to)}))
-        return pd.concat(frames, ignore_index=True)
+        r0, r1 = spec.band(tid)
+        H = r1 - r0
+        mask = target_mask_for_rows(r0, r1, cols)
+        g = _local_col_dist(mask)
+        rows = np.arange(r0, r1, dtype=np.int64)[:, None]
+        for t2 in range(n_tiles):
+            if t2 == tid:
+                continue
+            cand = maxs_[t2] if t2 < tid else mins_[t2]
+            dist = np.abs(rows - cand)
+            dist = np.where(cand[None, :] >= 0, dist, BIG)
+            g = np.minimum(g, dist)
+        xs = np.arange(cols, dtype=np.int64)
+        dx2 = (xs[:, None] - xs[None, :]) ** 2
+        g2 = np.minimum(g, 1_000_000).astype(np.int64) ** 2
+        d2 = (g2[:, None, :] + dx2[None, :, :]).min(axis=2)
+        dist = np.sqrt(d2.astype(np.float64))
+        cell = (rows * cols + xs[None, :])
+        v = synth_value(cell.ravel()).reshape(H, cols)
+        burn = np.power(1.0 / (1.0 + dist), decay) * decrement
+        out = np.where(v == spec.nodata, spec.nodata, v - burn)
+        valid = out != spec.nodata
+        return pd.DataFrame({
+            "row_id": np.arange(r0, r1),
+            "n_valid": valid.sum(axis=1).astype(np.int64),
+            "row_sum": np.round(np.where(valid, out, 0.0).sum(axis=1),
+                                round_to)})
 
-    return rd.range(spec.n_tiles).map_batches(per_tile,
-                                              batch_format="numpy")
+    return tile_task(spec.n_tiles, per_tile)

@@ -39,9 +39,8 @@ import heapq
 import numpy as np
 import pandas as pd
 import ray
-import ray.data as rd
 
-from .raster import RasterSpec, synth_value
+from .raster import RasterSpec, synth_value, tile_task
 from ..core.rng import NODATA
 
 _NEG_INF = float("-inf")
@@ -159,29 +158,23 @@ def filled_tile_refs(spec: RasterSpec, surface=None) -> dict:
     surf = surface or synth_value
 
     def tile_z(tid: int) -> np.ndarray:
-        r0 = tid * spec.tile_rows
-        r1 = min(r0 + spec.tile_rows, spec.rows)
+        r0, r1 = spec.band(tid)
         cell = np.arange(r0 * cols, r1 * cols, dtype=np.int64)
         return surf(cell).reshape(-1, cols)
 
     # pass 1: per-tile boundary graphs (+ edge-row z̃ for adjacency edges)
-    def pass1(batch) -> pd.DataFrame:
-        rows = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            z = tile_z(tid)
-            e = _tile_boundary_graph(z, spec.nodata, tid * spec.tile_rows,
-                                     grid_top=(tid == 0),
-                                     grid_bot=(tid == n_tiles - 1), cols=cols)
-            ea = np.array([(a, b, l) for a, b, l in e], dtype=np.float64)
-            zt = _effective_z(z, spec.nodata)
-            rows.append({"tile_id": tid, "edges": ea.tobytes(),
-                         "n_edges": len(e),
-                         "top_z": zt[0].tobytes(), "bot_z": zt[-1].tobytes()})
-        return pd.DataFrame(rows)
+    def pass1(tid: int) -> list:
+        z = tile_z(tid)
+        e = _tile_boundary_graph(z, spec.nodata, spec.band(tid)[0],
+                                 grid_top=(tid == 0),
+                                 grid_bot=(tid == n_tiles - 1), cols=cols)
+        ea = np.array([(a, b, l) for a, b, l in e], dtype=np.float64)
+        zt = _effective_z(z, spec.nodata)
+        return [{"tile_id": tid, "edges": ea.tobytes(),
+                 "n_edges": len(e),
+                 "top_z": zt[0].tobytes(), "bot_z": zt[-1].tobytes()}]
 
-    res = (rd.range(n_tiles)
-           .map_batches(pass1, batch_format="numpy").to_pandas())
+    res = tile_task(n_tiles, pass1).to_pandas()
 
     # driver: assemble global graph and run max-metric Dijkstra from outlet
     adj: dict[int, list[tuple[int, float]]] = {}
@@ -200,7 +193,7 @@ def filled_tile_refs(spec: RasterSpec, surface=None) -> dict:
     for t in range(n_tiles - 1):
         bz = edge_z[t][1]          # tile t last row z̃ (global row rb)
         tz = edge_z[t + 1][0]      # tile t+1 first row z̃
-        rb = min((t + 1) * spec.tile_rows, spec.rows) - 1
+        rb = spec.band(t)[1] - 1
         for c in range(cols):
             for dc in (-1, 0, 1):
                 c2 = c + dc
@@ -223,40 +216,35 @@ def filled_tile_refs(spec: RasterSpec, surface=None) -> dict:
     dist_ref = ray.put(dist)
 
     # pass 2: final flood with exact boundary levels
-    def pass2(batch) -> pd.DataFrame:
+    def pass2(tid: int) -> pd.DataFrame:
         dmap = ray.get(dist_ref) if isinstance(dist_ref, ray.ObjectRef) \
             else dist_ref
-        frames = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            z = tile_z(tid)
-            H = z.shape[0]
-            r0 = tid * spec.tile_rows
-            seeds: list[tuple[int, int, float]] = []
-            for r in range(H):
-                for c in (0, cols - 1):
-                    seeds.append((r, c, _NEG_INF))
+        z = tile_z(tid)
+        H = z.shape[0]
+        r0 = spec.band(tid)[0]
+        seeds: list[tuple[int, int, float]] = []
+        for r in range(H):
+            for c in (0, cols - 1):
+                seeds.append((r, c, _NEG_INF))
+        for c in range(cols):
+            if tid == 0:
+                seeds.append((0, c, _NEG_INF))
+            else:
+                seeds.append((0, c, dmap.get(r0 * cols + c, np.inf)))
+            if tid == n_tiles - 1:
+                seeds.append((H - 1, c, _NEG_INF))
+            else:
+                seeds.append((H - 1, c,
+                              dmap.get((r0 + H - 1) * cols + c, np.inf)))
+        for r in range(H):
             for c in range(cols):
-                if tid == 0:
-                    seeds.append((0, c, _NEG_INF))
-                else:
-                    seeds.append((0, c, dmap.get(r0 * cols + c, np.inf)))
-                if tid == n_tiles - 1:
-                    seeds.append((H - 1, c, _NEG_INF))
-                else:
-                    seeds.append((H - 1, c,
-                                  dmap.get((r0 + H - 1) * cols + c, np.inf)))
-            for r in range(H):
-                for c in range(cols):
-                    if z[r, c] == spec.nodata:
-                        seeds.append((r, c, _NEG_INF))
-            w = _priority_flood_seeded(z, spec.nodata, seeds)
-            frames.append(pd.DataFrame({"tile_id": [tid],
-                                        "filled_ref": [ray.put(w)]}))
-        return pd.concat(frames, ignore_index=True)
+                if z[r, c] == spec.nodata:
+                    seeds.append((r, c, _NEG_INF))
+        w = _priority_flood_seeded(z, spec.nodata, seeds)
+        return pd.DataFrame({"tile_id": [tid],
+                             "filled_ref": [ray.put(w)]})
 
-    final = (rd.range(n_tiles)
-             .map_batches(pass2, batch_format="numpy").to_pandas())
+    final = tile_task(n_tiles, pass2).to_pandas()
     return {int(r.tile_id): r.filled_ref for r in final.itertuples()}
 
 
@@ -266,22 +254,17 @@ def fill_depressions(spec: RasterSpec | None = None,
     spec = spec or RasterSpec()
     refs = filled_tile_refs(spec)
 
-    def per_tile(batch) -> pd.DataFrame:
-        frames = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            w = ray.get(refs[tid])
-            r0 = tid * spec.tile_rows
-            valid = w != spec.nodata
-            frames.append(pd.DataFrame({
-                "row_id": np.arange(r0, r0 + w.shape[0]),
-                "n_valid": valid.sum(axis=1).astype(np.int64),
-                "row_sum": np.round(np.where(valid, w, 0.0).sum(axis=1),
-                                    round_to)}))
-        return pd.concat(frames, ignore_index=True)
+    def per_tile(tid: int) -> pd.DataFrame:
+        w = ray.get(refs[tid])
+        r0 = spec.band(tid)[0]
+        valid = w != spec.nodata
+        return pd.DataFrame({
+            "row_id": np.arange(r0, r0 + w.shape[0]),
+            "n_valid": valid.sum(axis=1).astype(np.int64),
+            "row_sum": np.round(np.where(valid, w, 0.0).sum(axis=1),
+                                round_to)})
 
-    final = (rd.range(spec.n_tiles).map_batches(per_tile,
-                                                batch_format="numpy")
+    final = (tile_task(spec.n_tiles, per_tile)
              .to_pandas())
     return final.sort_values("row_id").reset_index(drop=True)
 
@@ -323,20 +306,16 @@ def flood_order(spec: RasterSpec | None = None) -> pd.DataFrame:
     cols = spec.cols
     refs = filled_tile_refs(spec)
 
-    def emit(batch) -> pd.DataFrame:
-        parts = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            w = ray.get(refs[tid])
-            r0 = tid * spec.tile_rows
-            gcell = np.arange(r0 * cols, (r0 + w.shape[0]) * cols,
-                              dtype=np.int64)
-            flat = w.ravel()
-            m = flat != spec.nodata
-            parts.append(pd.DataFrame({"fz": flat[m], "cell": gcell[m]}))
-        return pd.concat(parts, ignore_index=True)
+    def emit(tid: int) -> pd.DataFrame:
+        w = ray.get(refs[tid])
+        r0 = spec.band(tid)[0]
+        gcell = np.arange(r0 * cols, (r0 + w.shape[0]) * cols,
+                          dtype=np.int64)
+        flat = w.ravel()
+        m = flat != spec.nodata
+        return pd.DataFrame({"fz": flat[m], "cell": gcell[m]})
 
-    ds = rd.range(spec.n_tiles).map_batches(emit, batch_format="numpy")
+    ds = tile_task(spec.n_tiles, emit)
     # distributed sort; ranks = global position = per-block offset +
     # local index. The driver STREAMS the sorted blocks (sequential
     # prefix offsets force order) but accumulates only the bounded
@@ -439,24 +418,19 @@ def stochastic_depression_analysis(spec: RasterSpec | None = None,
         surf = _stoch_surface(k)
         refs = filled_tile_refs(spec, surface=surf)
 
-        def per_tile(batch) -> pd.DataFrame:
-            rows = []
-            for tid in batch["id"]:
-                tid = int(tid)
-                w = ray.get(refs[tid])
-                r0 = tid * spec.tile_rows
-                cell = np.arange(r0 * cols, (r0 + w.shape[0]) * cols,
-                                 dtype=np.int64)
-                z = surf(cell).reshape(w.shape[0], cols)
-                v = z != spec.nodata
-                rows.append(pd.DataFrame({
-                    "row_id": np.arange(r0, r0 + w.shape[0]),
-                    "dep": (v & (w > z)).sum(axis=1).astype(np.int64),
-                    "val": v.sum(axis=1).astype(np.int64)}))
-            return pd.concat(rows, ignore_index=True)
+        def per_tile(tid: int) -> pd.DataFrame:
+            w = ray.get(refs[tid])
+            r0 = spec.band(tid)[0]
+            cell = np.arange(r0 * cols, (r0 + w.shape[0]) * cols,
+                             dtype=np.int64)
+            z = surf(cell).reshape(w.shape[0], cols)
+            v = z != spec.nodata
+            return pd.DataFrame({
+                "row_id": np.arange(r0, r0 + w.shape[0]),
+                "dep": (v & (w > z)).sum(axis=1).astype(np.int64),
+                "val": v.sum(axis=1).astype(np.int64)})
 
-        part = (rd.range(spec.n_tiles)
-                .map_batches(per_tile, batch_format="numpy").to_pandas()
+        part = (tile_task(spec.n_tiles, per_tile).to_pandas()
                 .sort_values("row_id"))
         total += part["dep"].to_numpy()
         n_valid = part["val"].to_numpy()
@@ -476,25 +450,20 @@ def depth_in_sink(spec: RasterSpec | None = None,
     cols = spec.cols
     refs = filled_tile_refs(spec)
 
-    def per_tile(batch) -> pd.DataFrame:
-        frames = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            w = ray.get(refs[tid])
-            r0 = tid * spec.tile_rows
-            cell = np.arange(r0 * cols, (r0 + w.shape[0]) * cols,
-                             dtype=np.int64)
-            z = synth_value(cell).reshape(w.shape[0], cols)
-            valid = z != spec.nodata
-            depth = np.where(valid, w - z, 0.0)
-            frames.append(pd.DataFrame({
-                "row_id": np.arange(r0, r0 + w.shape[0]),
-                "n_valid": valid.sum(axis=1).astype(np.int64),
-                "depth_sum": np.round(depth.sum(axis=1), round_to)}))
-        return pd.concat(frames, ignore_index=True)
+    def per_tile(tid: int) -> pd.DataFrame:
+        w = ray.get(refs[tid])
+        r0 = spec.band(tid)[0]
+        cell = np.arange(r0 * cols, (r0 + w.shape[0]) * cols,
+                         dtype=np.int64)
+        z = synth_value(cell).reshape(w.shape[0], cols)
+        valid = z != spec.nodata
+        depth = np.where(valid, w - z, 0.0)
+        return pd.DataFrame({
+            "row_id": np.arange(r0, r0 + w.shape[0]),
+            "n_valid": valid.sum(axis=1).astype(np.int64),
+            "depth_sum": np.round(depth.sum(axis=1), round_to)})
 
-    final = (rd.range(spec.n_tiles).map_batches(per_tile,
-                                                batch_format="numpy")
+    final = (tile_task(spec.n_tiles, per_tile)
              .to_pandas())
     return final.sort_values("row_id").reset_index(drop=True)
 

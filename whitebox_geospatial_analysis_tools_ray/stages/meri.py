@@ -35,9 +35,8 @@ import math
 import numpy as np
 import pandas as pd
 import ray
-import ray.data as rd
 
-from .raster import RasterSpec, synth_value
+from .raster import RasterSpec, synth_value, tile_task
 
 
 def quant_value(cell: np.ndarray, nodata: float) -> np.ndarray:
@@ -59,11 +58,6 @@ def radius_ladder(rows: int, cols: int, base: float) -> list[int]:
     return radii
 
 
-def _band_rows_of(spec: RasterSpec, b: int) -> tuple[int, int]:
-    r0 = b * spec.tile_rows
-    return r0, min(r0 + spec.tile_rows, spec.rows)
-
-
 def multiscale_elev_residual(spec: RasterSpec | None = None,
                              base: float = 2.0,
                              round_to: int = 6) -> pd.DataFrame:
@@ -75,41 +69,29 @@ def multiscale_elev_residual(spec: RasterSpec | None = None,
     n_bands = spec.n_tiles
 
     # global min / range over the quantized band (integers)
-    def stats(batch) -> pd.DataFrame:
-        out = []
-        for b in batch["id"]:
-            r0, r1 = _band_rows_of(spec, int(b))
-            z = quant_value(np.arange(r0 * cols, r1 * cols, dtype=np.int64),
-                            nodata)
-            zv = z[z != nodata]
-            out.append({"lo": zv.min() if len(zv) else np.inf,
-                        "hi": zv.max() if len(zv) else -np.inf})
-        return pd.DataFrame(out)
+    def stats(b: int) -> list:
+        z = quant_value(spec.band_cells(b), nodata)
+        zv = z[z != nodata]
+        return [{"lo": zv.min() if len(zv) else np.inf,
+                 "hi": zv.max() if len(zv) else -np.inf}]
 
-    st = (rd.range(n_bands).map_batches(stats, batch_format="numpy")
-          .to_pandas())
+    st = tile_task(n_bands, stats).to_pandas()
     zmin = float(st["lo"].min())
 
     # pass 1: per-band local integer prefix blocks + last-row vectors
-    def prefix(batch) -> pd.DataFrame:
-        out = []
-        for b in batch["id"]:
-            r0, r1 = _band_rows_of(spec, int(b))
-            z = quant_value(np.arange(r0 * cols, r1 * cols,
-                                      dtype=np.int64),
-                            nodata).reshape(-1, cols)
-            valid = z != nodata
-            zi = np.where(valid, z - zmin, 0.0).astype(np.int64)
-            p = zi.cumsum(axis=1).cumsum(axis=0)
-            n = valid.astype(np.int64).cumsum(axis=1).cumsum(axis=0)
-            # LOCAL integral blocks stay in the object store; only the
-            # O(cols) last-row vectors travel to the driver (the global
-            # offsets are a sequential prefix over bands)
-            out.append({"band": int(b), "ref": ray.put((p, n)),
-                        "pl": p[-1].tobytes(), "nl": n[-1].tobytes()})
-        return pd.DataFrame(out)
+    def prefix(b: int) -> list:
+        z = quant_value(spec.band_cells(b), nodata).reshape(-1, cols)
+        valid = z != nodata
+        zi = np.where(valid, z - zmin, 0.0).astype(np.int64)
+        p = zi.cumsum(axis=1).cumsum(axis=0)
+        n = valid.astype(np.int64).cumsum(axis=1).cumsum(axis=0)
+        # LOCAL integral blocks stay in the object store; only the
+        # O(cols) last-row vectors travel to the driver (the global
+        # offsets are a sequential prefix over bands)
+        return [{"band": b, "ref": ray.put((p, n)),
+                 "pl": p[-1].tobytes(), "nl": n[-1].tobytes()}]
 
-    pre = (rd.range(n_bands).map_batches(prefix, batch_format="numpy")
+    pre = (tile_task(n_bands, prefix)
            .to_pandas().sort_values("band"))
     off_p = np.zeros(cols, dtype=np.int64)
     off_n = np.zeros(cols, dtype=np.int64)
@@ -123,7 +105,7 @@ def multiscale_elev_residual(spec: RasterSpec | None = None,
     offs_ref = ray.put(offs)
 
     # pass 2: per band, gather clamped corner rows per radius
-    def solve(batch) -> pd.DataFrame:
+    def solve(b: int) -> pd.DataFrame:
         cache: dict[int, tuple] = {}
         offs_all = ray.get(offs_ref) if isinstance(offs_ref, ray.ObjectRef) \
             else offs_ref
@@ -143,48 +125,43 @@ def multiscale_elev_residual(spec: RasterSpec | None = None,
             for b in np.unique(bb):
                 m = bb == b
                 p, n = block(int(b))
-                loc = idx[m] - int(b) * spec.tile_rows
+                loc = idx[m] - spec.band(b)[0]
                 P[m] = p[loc]
                 N[m] = n[loc]
             return P, N
 
-        out = []
-        for b in batch["id"]:
-            r0, r1 = _band_rows_of(spec, int(b))
-            h = r1 - r0
-            z = quant_value(np.arange(r0 * cols, r1 * cols,
-                                      dtype=np.int64),
-                            nodata).reshape(h, cols)
-            rr = np.arange(r0, r1)
-            count = np.zeros((h, cols))
-            for rad in radii:
-                y1 = np.clip(rr - rad, 0, rows - 1)
-                y2 = np.clip(rr + rad, 0, rows - 1)
-                x1 = np.clip(np.arange(cols) - rad, 0, cols - 1)
-                x2 = np.clip(np.arange(cols) + rad, 0, cols - 1)
-                P1, N1 = irows(y1)
-                P2, N2 = irows(y2)
-                a = P1[:, x1]
-                bb_ = P1[:, x2]
-                c = P2[:, x2]
-                d = P2[:, x1]
-                num = (N2[:, x2] + N1[:, x1] - N1[:, x2] - N2[:, x1])
-                # the groovy's winsum/num*range + min with winsum in
-                # (z−min)/range units ≡ (Σ(z−min))/num + min — range
-                # cancels algebraically
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    resid = z - ((c + a - bb_ - d) / num + zmin)
-                count += (resid > 0)
-            res = np.where(z != nodata, count / n_scales, nodata)
-            valid = res != nodata
-            out.append(pd.DataFrame({
-                "row_id": rr,
-                "n_valid": valid.sum(axis=1).astype(np.int64),
-                "row_sum": np.round(np.where(valid, res, 0.0).sum(axis=1),
-                                    round_to)}))
-        return pd.concat(out, ignore_index=True)
+        r0, r1 = spec.band(b)
+        h = r1 - r0
+        z = quant_value(spec.band_cells(b), nodata).reshape(h, cols)
+        rr = np.arange(r0, r1)
+        count = np.zeros((h, cols))
+        for rad in radii:
+            y1 = np.clip(rr - rad, 0, rows - 1)
+            y2 = np.clip(rr + rad, 0, rows - 1)
+            x1 = np.clip(np.arange(cols) - rad, 0, cols - 1)
+            x2 = np.clip(np.arange(cols) + rad, 0, cols - 1)
+            P1, N1 = irows(y1)
+            P2, N2 = irows(y2)
+            a = P1[:, x1]
+            bb_ = P1[:, x2]
+            c = P2[:, x2]
+            d = P2[:, x1]
+            num = (N2[:, x2] + N1[:, x1] - N1[:, x2] - N2[:, x1])
+            # the groovy's winsum/num*range + min with winsum in
+            # (z−min)/range units ≡ (Σ(z−min))/num + min — range
+            # cancels algebraically
+            with np.errstate(divide="ignore", invalid="ignore"):
+                resid = z - ((c + a - bb_ - d) / num + zmin)
+            count += (resid > 0)
+        res = np.where(z != nodata, count / n_scales, nodata)
+        valid = res != nodata
+        return pd.DataFrame({
+            "row_id": rr,
+            "n_valid": valid.sum(axis=1).astype(np.int64),
+            "row_sum": np.round(np.where(valid, res, 0.0).sum(axis=1),
+                                round_to)})
 
-    return (rd.range(n_bands).map_batches(solve, batch_format="numpy")
+    return (tile_task(n_bands, solve)
             .to_pandas().sort_values("row_id").reset_index(drop=True))
 
 

@@ -30,9 +30,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import ray
-import ray.data as rd
 
-from .raster import RasterSpec, synth_value
+from .raster import RasterSpec, synth_value, tile_task
 
 _A2 = 2246822519
 _M = 4294967296
@@ -50,9 +49,7 @@ def band_values(cell: np.ndarray, band: int, nodata: float) -> np.ndarray:
 
 
 def _band_block(spec: RasterSpec, b: int):
-    r0 = b * spec.tile_rows
-    r1 = min(r0 + spec.tile_rows, spec.rows)
-    cell = np.arange(r0 * spec.cols, r1 * spec.cols, dtype=np.int64)
+    cell = spec.band_cells(b)
     return np.stack([band_values(cell, i, spec.nodata)
                      .reshape(-1, spec.cols) for i in (0, 1)])
 
@@ -131,19 +128,16 @@ def modified_kmeans(spec: RasterSpec | None = None,
     n_bands = spec.n_tiles
 
     # global per-band min/max (diagonal init)
-    def stats(batch) -> pd.DataFrame:
-        out = []
-        for b in batch["id"]:
-            blk = _band_block(spec, int(b))
-            row = {}
-            for i in range(2):
-                v = blk[i][blk[i] != spec.nodata]
-                row[f"lo{i}"] = v.min() if len(v) else np.inf
-                row[f"hi{i}"] = v.max() if len(v) else -np.inf
-            out.append(row)
-        return pd.DataFrame(out)
+    def stats(b: int) -> list:
+        blk = _band_block(spec, b)
+        row = {}
+        for i in range(2):
+            v = blk[i][blk[i] != spec.nodata]
+            row[f"lo{i}"] = v.min() if len(v) else np.inf
+            row[f"hi{i}"] = v.max() if len(v) else -np.inf
+        return [row]
 
-    st = (rd.range(n_bands).map_batches(stats, batch_format="numpy")
+    st = (tile_task(n_bands, stats)
           .to_pandas())
     mins = np.array([st["lo0"].min(), st["lo1"].min()])
     maxs = np.array([st["hi0"].max(), st["hi1"].max()])
@@ -162,31 +156,27 @@ def modified_kmeans(spec: RasterSpec | None = None,
         cref = ray.put((cmat, label_refs.copy()))
         j += 1
 
-        def solve(batch, _ref=cref) -> pd.DataFrame:
+        def solve(b: int, _ref=cref) -> list:
             cm, lrefs = ray.get(_ref)
-            out = []
-            for b in batch["id"]:
-                b = int(b)
-                blk = _band_block(spec, b)
-                labels, valid = _assign(blk, cm, spec.nodata, max_dist)
-                prev = (ray.get(lrefs[b]) if lrefs[b] is not None
-                        else np.full(labels.shape, -32768, dtype=np.int64))
-                changed = int((labels[valid]
-                               != prev[valid]).sum())
-                row = {"band": b, "labels": labels.tobytes(),
-                       "shape0": labels.shape[0], "changed": changed,
-                       "n_valid": int(valid.sum())}
-                for a in range(len(cm)):
-                    m = (labels == a) & valid
-                    row[f"n{a}"] = int(m.sum())
-                    for i in range(2):
-                        # exact int64 partial of (v − min_i)
-                        row[f"s{a}_{i}"] = int(
-                            (blk[i][m] - mins[i]).astype(np.int64).sum())
-                out.append(row)
-            return pd.DataFrame(out)
+            blk = _band_block(spec, b)
+            labels, valid = _assign(blk, cm, spec.nodata, max_dist)
+            prev = (ray.get(lrefs[b]) if lrefs[b] is not None
+                    else np.full(labels.shape, -32768, dtype=np.int64))
+            changed = int((labels[valid]
+                           != prev[valid]).sum())
+            row = {"band": b, "labels": labels.tobytes(),
+                   "shape0": labels.shape[0], "changed": changed,
+                   "n_valid": int(valid.sum())}
+            for a in range(len(cm)):
+                m = (labels == a) & valid
+                row[f"n{a}"] = int(m.sum())
+                for i in range(2):
+                    # exact int64 partial of (v − min_i)
+                    row[f"s{a}_{i}"] = int(
+                        (blk[i][m] - mins[i]).astype(np.int64).sum())
+            return [row]
 
-        res = (rd.range(n_bands).map_batches(solve, batch_format="numpy")
+        res = (tile_task(n_bands, solve)
                .to_pandas().sort_values("band"))
         label_refs = {}
         for r in res.itertuples():
@@ -213,7 +203,7 @@ def modified_kmeans(spec: RasterSpec | None = None,
     frames = []
     for b in sorted(label_refs):
         lab = ray.get(label_refs[b]).astype(np.float64)
-        r0 = b * spec.tile_rows
+        r0 = spec.band(b)[0]
         ok = lab != -32768
         frames.append(pd.DataFrame({
             "row_id": np.arange(r0, r0 + lab.shape[0]),

@@ -1,19 +1,32 @@
-"""Raster stages: tile model, per-cell math, stencil filters, raster↔vector.
+"""Raster stages: band model, per-cell math, stencil filters, raster↔vector.
 
-Raster model (SURVEY.md §1.1 mapping): a raster is a Dataset of tile
-rows ``{tile_row:int32, tile_col:int32, data:list<f64>[th*tw]}`` plus a
-small header (rows, cols, extent, nodata) carried driver-side. All cell
-values are float64 with the −32768.0 NoData sentinel, matching
+Band model (SURVEY.md §1.1 mapping): a raster is a Dataset of full-width
+row-band tiles ``{tile_id:int64, data:list<f64>[(r1-r0)*cols]}`` plus a
+small ``RasterSpec`` header (rows, cols, tile_rows, nodata) carried
+driver-side. Tile ``tid`` covers rows ``[r0, r1) = RasterSpec.band(tid)``
+= ``[tid·tile_rows, min((tid+1)·tile_rows, rows))``; the last band is
+short when ``tile_rows`` does not divide ``rows``. All cell values are
+float64 with the −32768.0 NoData sentinel, matching
 ``WhiteboxRasterBase.java`` (values surface as double; NoData checked by
 equality and PROPAGATED by every operator — MathTools/src/plugins/Add.java:307).
 
-- per-cell math = one vectorized numpy ufunc family over tile tensors
-  (the 42 MathTools tools + RasterCalculator compile to this).
-- stencil ops (FilterMean etc.) = TILE-STENCIL: tiles emit halo rows to
-  vertical neighbours keyed by target tile, ``util.combine`` keyed on it
-  assembles tile+halo and runs the window kernel. Semantics per
-  ``FilterMean.java:267-290``: centre NoData → NoData; else mean of
-  non-NoData cells in the window clipped to the grid.
+Three helpers own the model; stages call them instead of re-deriving it:
+
+- ``RasterSpec.band(tid)`` — the band's row range;
+- ``padded_band(spec, tid, halo, regen)`` — the band plus ``halo`` ghost
+  rows and columns regenerated from the source, NoData outside the grid
+  (out-of-grid reads return NoData — WhiteboxRaster.java:535-557);
+- ``tile_task(n, fn)`` — one ``rd.range(n)`` plan that runs ``fn(tid)``
+  per tile inside a task and concatenates the per-tile frames.
+
+Per-cell math is one vectorized numpy ufunc family over band tensors (the
+42 MathTools tools + RasterCalculator compile to this). Stencil ops
+(FilterMean etc.) read ``padded_band`` per tile when the raster is
+source-backed; a mid-pipeline tile Dataset instead sends each band's edge
+rows to its vertical neighbours and ``util.combine`` keyed on the target
+tile assembles tile+halo. Semantics per ``FilterMean.java:267-290``:
+centre NoData → NoData; else mean of non-NoData cells in the window
+clipped to the grid.
 """
 
 from __future__ import annotations
@@ -44,6 +57,16 @@ class RasterSpec:
     def n_tiles(self) -> int:
         return math.ceil(self.rows / self.tile_rows)
 
+    def band(self, tid: int) -> tuple[int, int]:
+        """Rows ``[r0, r1)`` of row-band tile ``tid``."""
+        r0 = int(tid) * self.tile_rows
+        return r0, min(r0 + self.tile_rows, self.rows)
+
+    def band_cells(self, tid: int) -> np.ndarray:
+        """Linear cell indices of tile ``tid``, row-major."""
+        r0, r1 = self.band(tid)
+        return np.arange(r0 * self.cols, r1 * self.cols, dtype=np.int64)
+
 
 # the gate raster of the queries whose exact oracle is a sequential
 # recursive-CTE closure (their SQL mirrors default to GATE_SIDE too)
@@ -61,23 +84,49 @@ def synth_value(cell: np.ndarray) -> np.ndarray:
     return np.where(nod, NODATA, v)
 
 
+def tile_task(n: int, fn, override_num_blocks: int | None = None
+              ) -> "rd.Dataset":
+    """``rd.range(n)`` with ``fn(tid)`` run per id inside a task: each
+    call returns a frame (a DataFrame, a dict of equal-length columns or
+    a list of row dicts) and a batch's frames are concatenated. Empty
+    frames are dropped unless every frame is empty, so they do not
+    decide column dtypes. ``override_num_blocks`` is ``rd.range``'s own
+    argument, passed through; the operator keeps ``fn``'s name."""
+
+    def run(batch) -> pd.DataFrame:
+        parts = [pd.DataFrame(fn(int(tid))) for tid in batch["id"]]
+        return pd.concat([p for p in parts if len(p)] or parts[:1],
+                         ignore_index=True)
+
+    run.__name__ = fn.__name__
+    return rd.range(n, override_num_blocks=override_num_blocks).map_batches(
+        run, batch_format="numpy")
+
+
+def padded_band(spec: RasterSpec, tid: int, halo: int,
+                regen=synth_value) -> np.ndarray:
+    """Tile ``tid``'s band with ``halo`` ghost rows above and below and
+    ``halo`` columns left and right: a ``(r1-r0+2·halo, cols+2·halo)``
+    float64 array whose in-grid cells are ``regen(cell index)`` and whose
+    out-of-grid cells are NoData. The band itself is
+    ``[halo:halo+r1-r0, halo:halo+cols]``."""
+    r0, r1 = spec.band(tid)
+    lo, hi = max(r0 - halo, 0), min(r1 + halo, spec.rows)
+    padded = np.full((r1 - r0 + 2 * halo, spec.cols + 2 * halo), spec.nodata)
+    cell = np.arange(lo * spec.cols, hi * spec.cols, dtype=np.int64)
+    padded[halo + lo - r0:halo + hi - r0, halo:halo + spec.cols] = \
+        regen(cell).reshape(hi - lo, spec.cols)
+    return padded
+
+
 def synth_raster(spec: RasterSpec = RasterSpec()) -> "rd.Dataset":
-    """Generate the synthetic raster as a Dataset of row-band tiles.
+    """Generate the synthetic raster as a Dataset of row-band tiles,
+    each produced inside a task (never materialized on the driver)."""
 
-    rd.range drives tile generation — each tile is produced inside a
-    task (never materialized on the driver)."""
+    def gen(tid: int) -> dict:
+        return {"tile_id": [tid], "data": [synth_value(spec.band_cells(tid))]}
 
-    def gen(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            r0 = int(tid) * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            cell = (np.arange(r0 * spec.cols, r1 * spec.cols, dtype=np.int64))
-            out["tile_id"].append(int(tid))
-            out["data"].append(synth_value(cell))
-        return pd.DataFrame(out)
-
-    return rd.range(spec.n_tiles).map_batches(gen, batch_format="numpy")
+    return tile_task(spec.n_tiles, gen)
 
 
 def synth_class_value(cell: np.ndarray) -> np.ndarray:
@@ -105,6 +154,15 @@ def raster_map(ds: "rd.Dataset", fn, nodata: float = NODATA) -> "rd.Dataset":
     return ds.map_batches(apply, batch_format="pandas")
 
 
+def band_pairs(batch):
+    """``(tile_id, a, b)`` per row of a two-band tile batch
+    ``{tile_id, data, data_b}``, with ``a`` and ``b`` as flat float64
+    arrays."""
+    for tid, da, db in zip(batch["tile_id"], batch["data"], batch["data_b"]):
+        yield (int(tid), np.asarray(da, dtype=np.float64),
+               np.asarray(db, dtype=np.float64))
+
+
 def raster_row_checksums(ds: "rd.Dataset", spec: RasterSpec,
                          round_to: int = 6) -> "rd.Dataset":
     """Reduce a tile raster to per-raster-row checksums
@@ -116,7 +174,7 @@ def raster_row_checksums(ds: "rd.Dataset", spec: RasterSpec,
             a = np.asarray(data, dtype=np.float64).reshape(-1, spec.cols)
             valid = a != spec.nodata
             frames.append(pd.DataFrame({
-                "row_id": int(tid) * spec.tile_rows + np.arange(a.shape[0]),
+                "row_id": spec.band(tid)[0] + np.arange(a.shape[0]),
                 "n_valid": valid.sum(axis=1).astype(np.int64),
                 "row_sum": np.round(np.where(valid, a, 0.0).sum(axis=1), round_to),
             }))
@@ -130,9 +188,10 @@ def stencil_apply(ds: "rd.Dataset", spec: RasterSpec, kernel,
     """Generic TILE-STENCIL: apply a windowed ``kernel`` with reach ``halo``
     via halo exchange between row-band tiles.
 
-    Each tile flat_maps to (target_tile, kind, payload) rows: its own
-    band plus its edge rows sent as halos to the tiles above/below;
-    ``groupby(target)`` assembles [halo_top; band; halo_bottom]. Rows and
+    One ``map_batches`` pass turns each tile into (target_tile, kind,
+    payload) rows: its own band plus its edge rows sent as halos to the
+    tiles above/below; ``util.combine`` keyed on ``target`` assembles
+    [halo_top; band; halo_bottom]. Rows and
     columns beyond the grid are padded with NoData (out-of-grid reads
     return NoData — WhiteboxRaster.java:535-557 default), so ``kernel``
     receives a fully padded array and needs no boundary cases: it gets a
@@ -200,30 +259,14 @@ def stencil_apply_regen(spec: RasterSpec, kernel, halo: int = 1,
     byte-range formats); ``stencil_apply`` remains for mid-pipeline
     tensors with no re-readable source."""
     regen = regen or synth_value
-    nodata = spec.nodata
 
-    def per_tile(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            lo, hi = max(r0 - halo, 0), min(r1 + halo, spec.rows)
-            cell = np.arange(lo * spec.cols, hi * spec.cols, dtype=np.int64)
-            a = regen(cell).reshape(hi - lo, spec.cols)
-            padded = np.full((r1 - r0 + 2 * halo, spec.cols + 2 * halo),
-                             nodata)
-            padded[halo - (r0 - lo):halo - (r0 - lo) + (hi - lo),
-                   halo:-halo] = a
-            filt = kernel(padded)
-            out["tile_id"].append(tid)
-            out["data"].append(filt[halo:halo + (r1 - r0), halo:-halo]
-                               .ravel())
-        return pd.DataFrame(out)
+    def per_tile(tid: int) -> dict:
+        r0, r1 = spec.band(tid)
+        filt = kernel(padded_band(spec, tid, halo, regen))
+        return {"tile_id": [tid],
+                "data": [filt[halo:halo + r1 - r0, halo:-halo].ravel()]}
 
-    import ray.data as rd
-    return rd.range(spec.n_tiles).map_batches(per_tile,
-                                              batch_format="numpy")
+    return tile_task(spec.n_tiles, per_tile)
 
 
 def stencil_mean3x3(ds: "rd.Dataset", spec: RasterSpec,
@@ -352,7 +395,7 @@ def raster_row_int_checksums(ds: "rd.Dataset", spec: RasterSpec,
             valid = a != spec.nodata
             q = np.floor(a * scale + 0.5)
             frames.append(pd.DataFrame({
-                "row_id": int(tid) * spec.tile_rows + np.arange(a.shape[0]),
+                "row_id": spec.band(tid)[0] + np.arange(a.shape[0]),
                 "n_valid": valid.sum(axis=1).astype(np.int64),
                 "row_isum": np.where(valid, q, 0.0).sum(axis=1).astype(np.int64),
             }))

@@ -33,7 +33,8 @@ import ray.data as rd
 from ray.data.aggregate import Max, Min, Sum
 
 from ..core.rng import NODATA
-from .raster import RasterSpec, raster_map, synth_value
+from .raster import (RasterSpec, band_pairs, padded_band, raster_map,
+                     synth_value, tile_task)
 from .util import combine, groupwise_combine
 
 _A2 = 2246822519
@@ -62,34 +63,23 @@ def synth_raster_pair(spec: RasterSpec) -> "rd.Dataset":
     Generating the pair inside one task = the co-partitioned zip of two
     tile datasets (no shuffle), as SURVEY.md §2.2 prescribes."""
 
-    def gen(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": [], "data_b": []}
-        for tid in batch["id"]:
-            r0 = int(tid) * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            cell = np.arange(r0 * spec.cols, r1 * spec.cols, dtype=np.int64)
-            out["tile_id"].append(int(tid))
-            out["data"].append(synth_value(cell))
-            out["data_b"].append(synth_value_b(cell))
-        return pd.DataFrame(out)
+    def gen(tid: int) -> dict:
+        cell = spec.band_cells(tid)
+        return {"tile_id": [tid],
+                "data": [synth_value(cell)],
+                "data_b": [synth_value_b(cell)]}
 
-    return rd.range(spec.n_tiles).map_batches(gen, batch_format="numpy")
+    return tile_task(spec.n_tiles, gen)
 
 
 def synth_raster_b(spec: RasterSpec) -> "rd.Dataset":
     """The second raster alone as a tile Dataset (tile_id, data)."""
 
-    def gen(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            r0 = int(tid) * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            cell = np.arange(r0 * spec.cols, r1 * spec.cols, dtype=np.int64)
-            out["tile_id"].append(int(tid))
-            out["data"].append(synth_value_b(cell))
-        return pd.DataFrame(out)
+    def gen(tid: int) -> dict:
+        cell = spec.band_cells(tid)
+        return {"tile_id": [tid], "data": [synth_value_b(cell)]}
 
-    return rd.range(spec.n_tiles).map_batches(gen, batch_format="numpy")
+    return tile_task(spec.n_tiles, gen)
 
 
 def reclass_equal_interval(ds: "rd.Dataset", spec: RasterSpec,
@@ -170,7 +160,7 @@ def aggregate_downsample(ds: "rd.Dataset", spec: RasterSpec,
             v = np.where(n > 0, v, spec.nodata)
             br, bc = np.divmod(np.arange(v.size), v.shape[1])
             frames.append(pd.DataFrame({
-                "block_row": int(tid) * (spec.tile_rows // factor) + br,
+                "block_row": spec.band(tid)[0] // factor + br,
                 "block_col": bc,
                 "value": np.round(v.ravel(), round_to)}))
         return pd.concat(frames, ignore_index=True)
@@ -184,9 +174,7 @@ def cross_tabulation(pair: "rd.Dataset", spec: RasterSpec,
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         frames = []
-        for da, db in zip(batch["data"], batch["data_b"]):
-            a = np.asarray(da, dtype=np.float64)
-            b = np.asarray(db, dtype=np.float64)
+        for _, a, b in band_pairs(batch):
             m = (a != spec.nodata) & (b != spec.nodata)
             ca = np.floor(a[m] / class_width).astype(np.int64)
             cb = np.floor(b[m] / class_width).astype(np.int64)
@@ -207,9 +195,7 @@ def cross_tabulation(pair: "rd.Dataset", spec: RasterSpec,
 def _pair_moments(pair: "rd.Dataset", spec: RasterSpec) -> dict:
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         n = sx = sy = sxy = sx2 = sy2 = 0.0
-        for da, db in zip(batch["data"], batch["data_b"]):
-            a = np.asarray(da, dtype=np.float64)
-            b = np.asarray(db, dtype=np.float64)
+        for _, a, b in band_pairs(batch):
             m = (a != spec.nodata) & (b != spec.nodata)
             x, y = a[m], b[m]
             n += len(x); sx += x.sum(); sy += y.sum()
@@ -294,32 +280,28 @@ def resample_nn(spec: RasterSpec, out_rows: int, out_cols: int,
     range (contiguous for axis-aligned regridding) and regenerates/reads
     exactly those input rows — a gather keyed by target tile, no
     all-to-all. Output: per-output-row checksums."""
-    out_tile_rows = max(1, spec.tile_rows * out_rows // spec.rows)
-    n_out_tiles = (out_rows + out_tile_rows - 1) // out_tile_rows
+    grid = RasterSpec(rows=out_rows, cols=out_cols, tile_rows=max(
+        1, spec.tile_rows * out_rows // spec.rows))
     ry = spec.rows / out_rows
     rx = spec.cols / out_cols
 
-    def per_tile(batch) -> pd.DataFrame:
-        frames = []
-        for tid in batch["id"]:
-            o0 = int(tid) * out_tile_rows
-            o1 = min(o0 + out_tile_rows, out_rows)
-            src_rows = ((np.arange(o0, o1) + 0.5) * ry).astype(np.int64)
-            src_cols = ((np.arange(out_cols) + 0.5) * rx).astype(np.int64)
-            r_lo, r_hi = int(src_rows.min()), int(src_rows.max()) + 1
-            cell = np.arange(r_lo * spec.cols, r_hi * spec.cols,
-                             dtype=np.int64)
-            src = synth_value(cell).reshape(-1, spec.cols)
-            out = src[src_rows - r_lo][:, src_cols]
-            valid = out != spec.nodata
-            frames.append(pd.DataFrame({
-                "row_id": np.arange(o0, o1),
-                "n_valid": valid.sum(axis=1).astype(np.int64),
-                "row_sum": np.round(np.where(valid, out, 0.0).sum(axis=1),
-                                    round_to)}))
-        return pd.concat(frames, ignore_index=True)
+    def per_tile(tid: int) -> pd.DataFrame:
+        o0, o1 = grid.band(tid)
+        src_rows = ((np.arange(o0, o1) + 0.5) * ry).astype(np.int64)
+        src_cols = ((np.arange(out_cols) + 0.5) * rx).astype(np.int64)
+        r_lo, r_hi = int(src_rows.min()), int(src_rows.max()) + 1
+        cell = np.arange(r_lo * spec.cols, r_hi * spec.cols,
+                         dtype=np.int64)
+        src = synth_value(cell).reshape(-1, spec.cols)
+        out = src[src_rows - r_lo][:, src_cols]
+        valid = out != spec.nodata
+        return pd.DataFrame({
+            "row_id": np.arange(o0, o1),
+            "n_valid": valid.sum(axis=1).astype(np.int64),
+            "row_sum": np.round(np.where(valid, out, 0.0).sum(axis=1),
+                                round_to)})
 
-    return rd.range(n_out_tiles).map_batches(per_tile, batch_format="numpy")
+    return tile_task(grid.n_tiles, per_tile)
 
 
 def contour_lengths(spec: RasterSpec, levels: tuple = (250.0, 500.0, 750.0),
@@ -327,7 +309,8 @@ def contour_lengths(spec: RasterSpec, levels: tuple = (250.0, 500.0, 750.0),
     """Contour (TerrainAnalysisTools/src/plugins/Contour.java, 1410 LoC)
     reduced to per-level total isoline LENGTH — length is additive across
     tiles, so marching squares runs per tile with a one-row halo and no
-    ring stitching (the full polyline assembly is the deferred r2 part).
+    ring stitching (``vectorize.contour_polylines`` assembles the
+    polylines).
 
     Marching squares on cell-centre samples; NoData squares skipped;
     linear edge interpolation. Output: (level, total_length)."""
@@ -421,38 +404,33 @@ def mosaic(spec: RasterSpec, offset_rows: int = 64,
     Distributed shape: each OUTPUT row-band tile regenerates/reads only
     the source rows overlapping it — a per-tile gather keyed by extent
     (range join on extents per SURVEY §2.9 'Image geometry'), no shuffle."""
-    out_rows = offset_rows + spec.rows
+    grid = RasterSpec(rows=offset_rows + spec.rows, cols=spec.cols,
+                      tile_rows=spec.tile_rows)
 
-    def per_tile(batch) -> pd.DataFrame:
-        frames = []
-        for tid in batch["id"]:
-            r0 = int(tid) * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, out_rows)
-            rows = np.arange(r0, r1)
-            out = np.full((len(rows), spec.cols), NODATA)
-            in_a = rows < spec.rows
-            if in_a.any():
-                cell = (rows[in_a][:, None] * spec.cols
-                        + np.arange(spec.cols)[None, :])
-                out[in_a] = synth_value(cell.ravel()).reshape(-1, spec.cols)
-            src_b = rows - offset_rows
-            in_b = (src_b >= 0) & (src_b < spec.rows)
-            if in_b.any():
-                cell = (src_b[in_b][:, None] * spec.cols
-                        + np.arange(spec.cols)[None, :])
-                b = synth_value_b(cell.ravel()).reshape(-1, spec.cols)
-                sel = out[in_b]
-                out[in_b] = np.where(sel == NODATA, b, sel)
-            valid = out != NODATA
-            frames.append(pd.DataFrame({
-                "row_id": rows,
-                "n_valid": valid.sum(axis=1).astype(np.int64),
-                "row_sum": np.round(np.where(valid, out, 0.0).sum(axis=1),
-                                    round_to)}))
-        return pd.concat(frames, ignore_index=True)
+    def per_tile(tid: int) -> pd.DataFrame:
+        rows = np.arange(*grid.band(tid))
+        out = np.full((len(rows), spec.cols), NODATA)
+        in_a = rows < spec.rows
+        if in_a.any():
+            cell = (rows[in_a][:, None] * spec.cols
+                    + np.arange(spec.cols)[None, :])
+            out[in_a] = synth_value(cell.ravel()).reshape(-1, spec.cols)
+        src_b = rows - offset_rows
+        in_b = (src_b >= 0) & (src_b < spec.rows)
+        if in_b.any():
+            cell = (src_b[in_b][:, None] * spec.cols
+                    + np.arange(spec.cols)[None, :])
+            b = synth_value_b(cell.ravel()).reshape(-1, spec.cols)
+            sel = out[in_b]
+            out[in_b] = np.where(sel == NODATA, b, sel)
+        valid = out != NODATA
+        return pd.DataFrame({
+            "row_id": rows,
+            "n_valid": valid.sum(axis=1).astype(np.int64),
+            "row_sum": np.round(np.where(valid, out, 0.0).sum(axis=1),
+                                round_to)})
 
-    n_tiles = (out_rows + spec.tile_rows - 1) // spec.tile_rows
-    return rd.range(n_tiles).map_batches(per_tile, batch_format="numpy")
+    return tile_task(grid.n_tiles, per_tile)
 
 
 def ndvi(pair: "rd.Dataset", spec: RasterSpec,
@@ -465,10 +443,7 @@ def ndvi(pair: "rd.Dataset", spec: RasterSpec,
 
     def per_tile(batch: pd.DataFrame) -> pd.DataFrame:
         out = {"tile_id": [], "data": []}
-        for tid, da, db in zip(batch["tile_id"], batch["data"],
-                               batch["data_b"]):
-            a = np.asarray(da, dtype=np.float64)
-            b = np.asarray(db, dtype=np.float64)
+        for tid, a, b in band_pairs(batch):
             valid = (a != spec.nodata) & (b != spec.nodata) & (a + b != 0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 v = np.where(valid, (a - b) / (a + b), spec.nodata)
@@ -503,55 +478,42 @@ def morans_i(spec: RasterSpec, neighbours: str = "rook",
         offs = ((1, -1), (1, 1), (-1, 1), (-1, -1))
 
     def band(tid: int):
-        r0 = tid * spec.tile_rows
-        r1 = min(r0 + spec.tile_rows, spec.rows)
-        lo, hi = max(r0 - 1, 0), min(r1 + 1, spec.rows)
-        cell = np.arange(lo * spec.cols, hi * spec.cols, dtype=np.int64)
-        z = synth_value(cell).reshape(hi - lo, spec.cols)
-        pad = np.full((hi - lo + 2, spec.cols + 2), spec.nodata)
-        pad[1:-1, 1:-1] = z
-        sl = slice(r0 - lo + 1, r0 - lo + 1 + (r1 - r0))
-        return pad, sl
+        r0, r1 = spec.band(tid)
+        return padded_band(spec, tid, 1), slice(1, 1 + r1 - r0)
 
-    def p1(batch) -> pd.DataFrame:
-        rows = []
-        for tid in batch["id"]:
-            pad, sl = band(int(tid))
-            z = pad[sl, 1:-1]
-            v = z[z != spec.nodata]
-            rows.append({"n": float(len(v)), "s": float(v.sum())})
-        return pd.DataFrame(rows)
+    def p1(tid: int) -> list:
+        pad, sl = band(tid)
+        z = pad[sl, 1:-1]
+        v = z[z != spec.nodata]
+        return [{"n": float(len(v)), "s": float(v.sum())}]
 
-    agg1 = (rd.range(spec.n_tiles).map_batches(p1, batch_format="numpy")
+    agg1 = (tile_task(spec.n_tiles, p1)
             .aggregate(Sum("n"), Sum("s")))
     n = agg1["sum(n)"]
     mean = agg1["sum(s)"] / n
 
-    def p2(batch) -> pd.DataFrame:
-        rows = []
-        for tid in batch["id"]:
-            pad, sl = band(int(tid))
-            z = pad[sl, 1:-1]
-            valid = z != spec.nodata
-            dev = np.where(valid, z - mean, 0.0)
-            td = float((dev * dev).sum())
-            kq = float((dev ** 4).sum())
-            num = 0.0
-            Wc = 0.0
-            S2p = np.zeros_like(z)
-            H = z.shape[0]
-            for dc, dr in offs:
-                nb = pad[sl.start + dr: sl.stop + dr,
-                         1 + dc: 1 + spec.cols + dc]
-                m = valid & (nb != spec.nodata)
-                Wc += float(m.sum())
-                num += float((dev * np.where(m, nb - mean, 0.0)).sum())
-                S2p += m
-            S2 = float((np.where(valid, S2p, 0.0) ** 2).sum())
-            rows.append({"td": td, "k": kq, "num": num, "W": Wc, "S2": S2})
-        return pd.DataFrame(rows)
+    def p2(tid: int) -> list:
+        pad, sl = band(tid)
+        z = pad[sl, 1:-1]
+        valid = z != spec.nodata
+        dev = np.where(valid, z - mean, 0.0)
+        td = float((dev * dev).sum())
+        kq = float((dev ** 4).sum())
+        num = 0.0
+        Wc = 0.0
+        S2p = np.zeros_like(z)
+        H = z.shape[0]
+        for dc, dr in offs:
+            nb = pad[sl.start + dr: sl.stop + dr,
+                     1 + dc: 1 + spec.cols + dc]
+            m = valid & (nb != spec.nodata)
+            Wc += float(m.sum())
+            num += float((dev * np.where(m, nb - mean, 0.0)).sum())
+            S2p += m
+        S2 = float((np.where(valid, S2p, 0.0) ** 2).sum())
+        return [{"td": td, "k": kq, "num": num, "W": Wc, "S2": S2}]
 
-    agg2 = (rd.range(spec.n_tiles).map_batches(p2, batch_format="numpy")
+    agg2 = (tile_task(spec.n_tiles, p2)
             .aggregate(Sum("td"), Sum("k"), Sum("num"), Sum("W"), Sum("S2")))
     td, num, W = agg2["sum(td)"], agg2["sum(num)"], agg2["sum(W)"]
     i_val = n * num / (td * W)
@@ -648,20 +610,14 @@ def crispness_index(spec: RasterSpec, round_to: int = 6) -> pd.DataFrame:
     moments + a tiny aggregate."""
     from ray.data.aggregate import Sum
 
-    def partial(batch) -> pd.DataFrame:
-        rows = []
-        for tid in batch["id"]:
-            r0 = int(tid) * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            cell = np.arange(r0 * spec.cols, r1 * spec.cols,
-                             dtype=np.int64)
-            z = synth_value(cell)
-            v = z[z != spec.nodata] / 1000.0
-            rows.append({"n": float(len(v)), "s": float(v.sum()),
-                         "s2": float((v * v).sum())})
-        return pd.DataFrame(rows)
+    def partial(tid: int) -> list:
+        cell = spec.band_cells(tid)
+        z = synth_value(cell)
+        v = z[z != spec.nodata] / 1000.0
+        return [{"n": float(len(v)), "s": float(v.sum()),
+                 "s2": float((v * v).sum())}]
 
-    m = (rd.range(spec.n_tiles).map_batches(partial, batch_format="numpy")
+    m = (tile_task(spec.n_tiles, partial)
          .aggregate(Sum("n"), Sum("s"), Sum("s2")))
     n, s, s2 = m["sum(n)"], m["sum(s)"], m["sum(s2)"]
     mu = s / n
@@ -681,50 +637,43 @@ def rgb_ihs_roundtrip(spec: RasterSpec, round_to: int = 6) -> "rd.Dataset":
     Per-cell math only: one stateless pass per tile."""
     from .raster import raster_row_checksums
 
-    def per_tile(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            r0 = int(tid) * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            cell = np.arange(r0 * spec.cols, r1 * spec.cols,
-                             dtype=np.int64)
-            zr = synth_value(cell)
-            zg = synth_value_b(cell)
-            zb = synth_value((cell * 7 + 13) % (spec.rows * spec.cols))
-            valid = (zr != spec.nodata) & (zg != spec.nodata) \
-                & (zb != spec.nodata)
-            r = np.clip(zr / 1000.0, 0.0, 1.0)
-            g = np.clip(zg / 1000.0, 0.0, 1.0)
-            b = np.clip(zb / 1000.0, 0.0, 1.0)
-            m = np.minimum(np.minimum(r, g), b)
-            i = r + g + b
-            with np.errstate(divide="ignore", invalid="ignore"):
-                h = np.where(i == 3.0, 0.0,
-                    np.where(m == b, (g - b) / (i - 3 * b),
-                    np.where(m == r, (b - r) / (i - 3 * r) + 1.0,
-                             (r - g) / (i - 3 * g) + 2.0)))
-                s = np.where(h <= 1.0, (i - 3 * b) / i,
-                    np.where(h <= 2.0, (i - 3 * r) / i, (i - 3 * g) / i))
-                # inverse (IHStoRGB.java:267-282)
-                r2 = np.where(h <= 1.0, i * (1 + 2 * s - 3 * s * h) / 3,
-                     np.where(h <= 2.0, i * (1 - s) / 3,
-                              i * (1 - s + 3 * s * (h - 2)) / 3))
-                g2 = np.where(h <= 1.0, i * (1 - s + 3 * s * h) / 3,
-                     np.where(h <= 2.0, i * (1 + 2 * s - 3 * s * (h - 1)) / 3,
-                              i * (1 - s) / 3))
-                b2 = np.where(h <= 1.0, i * (1 - s) / 3,
-                     np.where(h <= 2.0, i * (1 - s + 3 * s * (h - 1)) / 3,
-                              i * (1 + 2 * s - 3 * s * (h - 2)) / 3))
-            # per-cell round at 4 decimals absorbs the ~1e-14 roundtrip
-            # float error so the identity oracle matches bit-for-bit
-            total = np.where(valid, np.round(r2 + g2 + b2, 4),
-                             spec.nodata)
-            out["tile_id"].append(int(tid))
-            out["data"].append(total)
-        return pd.DataFrame(out)
+    def per_tile(tid: int) -> dict:
+        cell = spec.band_cells(tid)
+        zr = synth_value(cell)
+        zg = synth_value_b(cell)
+        zb = synth_value((cell * 7 + 13) % (spec.rows * spec.cols))
+        valid = (zr != spec.nodata) & (zg != spec.nodata) \
+            & (zb != spec.nodata)
+        r = np.clip(zr / 1000.0, 0.0, 1.0)
+        g = np.clip(zg / 1000.0, 0.0, 1.0)
+        b = np.clip(zb / 1000.0, 0.0, 1.0)
+        m = np.minimum(np.minimum(r, g), b)
+        i = r + g + b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = np.where(i == 3.0, 0.0,
+                np.where(m == b, (g - b) / (i - 3 * b),
+                np.where(m == r, (b - r) / (i - 3 * r) + 1.0,
+                         (r - g) / (i - 3 * g) + 2.0)))
+            s = np.where(h <= 1.0, (i - 3 * b) / i,
+                np.where(h <= 2.0, (i - 3 * r) / i, (i - 3 * g) / i))
+            # inverse (IHStoRGB.java:267-282)
+            r2 = np.where(h <= 1.0, i * (1 + 2 * s - 3 * s * h) / 3,
+                 np.where(h <= 2.0, i * (1 - s) / 3,
+                          i * (1 - s + 3 * s * (h - 2)) / 3))
+            g2 = np.where(h <= 1.0, i * (1 - s + 3 * s * h) / 3,
+                 np.where(h <= 2.0, i * (1 + 2 * s - 3 * s * (h - 1)) / 3,
+                          i * (1 - s) / 3))
+            b2 = np.where(h <= 1.0, i * (1 - s) / 3,
+                 np.where(h <= 2.0, i * (1 - s + 3 * s * (h - 1)) / 3,
+                          i * (1 + 2 * s - 3 * s * (h - 2)) / 3))
+        # per-cell round at 4 decimals absorbs the ~1e-14 roundtrip
+        # float error so the identity oracle matches bit-for-bit
+        total = np.where(valid, np.round(r2 + g2 + b2, 4),
+                         spec.nodata)
+        return {"tile_id": [tid], "data": [total]}
 
     return raster_row_checksums(
-        rd.range(spec.n_tiles).map_batches(per_tile, batch_format="numpy"),
+        tile_task(spec.n_tiles, per_tile),
         spec, round_to=round_to)
 
 
@@ -739,9 +688,7 @@ def kappa_index(pair: "rd.Dataset", spec: RasterSpec,
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         frames = []
-        for da, db in zip(batch["data"], batch["data_b"]):
-            a = np.asarray(da, dtype=np.float64)
-            b = np.asarray(db, dtype=np.float64)
+        for _, a, b in band_pairs(batch):
             m = (a != spec.nodata) & (b != spec.nodata)
             ca = np.floor(a[m] / class_width).astype(np.int64)
             cb = np.floor(b[m] / class_width).astype(np.int64)
@@ -774,49 +721,44 @@ def extract_valleys_pd(spec: RasterSpec) -> pd.DataFrame:
     anchors one halo row below each band can mark the band's last row.
     Output: (row_id, n_valid, n_valley)."""
 
-    def per_tile(batch) -> pd.DataFrame:
-        frames = []
-        for tid in batch["id"]:
-            r0 = int(tid) * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            lo, hi = max(r0 - 1, 0), min(r1 + 1, spec.rows)
-            cell = np.arange(lo * spec.cols, hi * spec.cols, dtype=np.int64)
-            z = synth_value(cell).reshape(hi - lo, spec.cols)
-            pad = np.full((hi - lo + 2, spec.cols + 2), spec.nodata)
-            pad[1:-1, 1:-1] = z
-            zc = pad[1:-1, 1:-1]
-            nw = pad[:-2, :-2]
-            nn = pad[:-2, 1:-1]
-            ww = pad[1:-1, :-2]
-            valid = zc != spec.nodata
-            # running strict-max selection, reference scan order
-            maxz = zc.copy()
-            sel = np.full(zc.shape, 3, dtype=np.int64)  # centre
-            for k, nb in ((0, nw), (1, nn), (2, ww)):
-                upd = valid & (nb != spec.nodata) & (nb > maxz)
-                maxz = np.where(upd, nb, maxz)
-                sel = np.where(upd, k, sel)
-            # scatter: marked(cell) = selected by any anchor
-            marked = np.zeros_like(valid)
-            offs = {0: (-1, -1), 1: (-1, 0), 2: (0, -1), 3: (0, 0)}
-            H, W = zc.shape
-            for k, (dr, dc) in offs.items():
-                src = valid & (sel == k)
-                rr, cc = np.nonzero(src)
-                tr, tc = rr + dr, cc + dc
-                m = (tr >= 0) & (tc >= 0)
-                marked[tr[m], tc[m]] = True
-            core = slice(r0 - lo, r0 - lo + (r1 - r0))
-            vc = valid[core]
-            valley = vc & ~marked[core]
-            frames.append(pd.DataFrame({
-                "row_id": np.arange(r0, r1),
-                "n_valid": vc.sum(axis=1).astype(np.int64),
-                "n_valley": valley.sum(axis=1).astype(np.int64)}))
-        return pd.concat(frames, ignore_index=True)
+    def per_tile(tid: int) -> pd.DataFrame:
+        r0, r1 = spec.band(tid)
+        lo, hi = max(r0 - 1, 0), min(r1 + 1, spec.rows)
+        cell = np.arange(lo * spec.cols, hi * spec.cols, dtype=np.int64)
+        z = synth_value(cell).reshape(hi - lo, spec.cols)
+        pad = np.full((hi - lo + 2, spec.cols + 2), spec.nodata)
+        pad[1:-1, 1:-1] = z
+        zc = pad[1:-1, 1:-1]
+        nw = pad[:-2, :-2]
+        nn = pad[:-2, 1:-1]
+        ww = pad[1:-1, :-2]
+        valid = zc != spec.nodata
+        # running strict-max selection, reference scan order
+        maxz = zc.copy()
+        sel = np.full(zc.shape, 3, dtype=np.int64)  # centre
+        for k, nb in ((0, nw), (1, nn), (2, ww)):
+            upd = valid & (nb != spec.nodata) & (nb > maxz)
+            maxz = np.where(upd, nb, maxz)
+            sel = np.where(upd, k, sel)
+        # scatter: marked(cell) = selected by any anchor
+        marked = np.zeros_like(valid)
+        offs = {0: (-1, -1), 1: (-1, 0), 2: (0, -1), 3: (0, 0)}
+        H, W = zc.shape
+        for k, (dr, dc) in offs.items():
+            src = valid & (sel == k)
+            rr, cc = np.nonzero(src)
+            tr, tc = rr + dr, cc + dc
+            m = (tr >= 0) & (tc >= 0)
+            marked[tr[m], tc[m]] = True
+        core = slice(r0 - lo, r0 - lo + (r1 - r0))
+        vc = valid[core]
+        valley = vc & ~marked[core]
+        return pd.DataFrame({
+            "row_id": np.arange(r0, r1),
+            "n_valid": vc.sum(axis=1).astype(np.int64),
+            "n_valley": valley.sum(axis=1).astype(np.int64)})
 
-    return (rd.range(spec.n_tiles)
-            .map_batches(per_tile, batch_format="numpy").to_pandas()
+    return (tile_task(spec.n_tiles, per_tile).to_pandas()
             .sort_values("row_id").reset_index(drop=True))
 
 
@@ -830,9 +772,7 @@ def paired_t_test(pair: "rd.Dataset", spec: RasterSpec,
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         n = s = s2 = 0.0
-        for da, db in zip(batch["data"], batch["data_b"]):
-            a = np.asarray(da, dtype=np.float64)
-            b = np.asarray(db, dtype=np.float64)
+        for _, a, b in band_pairs(batch):
             m = (a != spec.nodata) & (b != spec.nodata)
             d = a[m] - b[m]
             n += len(d); s += d.sum(); s2 += (d * d).sum()
@@ -857,14 +797,12 @@ def highest_position(pair: "rd.Dataset", spec: RasterSpec) -> pd.DataFrame:
 
     def per_tile(batch: pd.DataFrame) -> pd.DataFrame:
         frames = []
-        for tid, da, db in zip(batch["tile_id"], batch["data"],
-                               batch["data_b"]):
-            a = np.asarray(da, dtype=np.float64).reshape(-1, spec.cols)
-            b = np.asarray(db, dtype=np.float64).reshape(-1, spec.cols)
+        for tid, a, b in band_pairs(batch):
+            a, b = a.reshape(-1, spec.cols), b.reshape(-1, spec.cols)
             m = (a != spec.nodata) & (b != spec.nodata)
             first = m & (a >= b)
             frames.append(pd.DataFrame({
-                "row_id": int(tid) * spec.tile_rows + np.arange(a.shape[0]),
+                "row_id": spec.band(tid)[0] + np.arange(a.shape[0]),
                 "n_valid": m.sum(axis=1).astype(np.int64),
                 "n_first": first.sum(axis=1).astype(np.int64)}))
         return pd.concat(frames, ignore_index=True)
@@ -900,10 +838,7 @@ def colour_composite(pair: "rd.Dataset", spec: RasterSpec,
             out[f"{name}lo"], out[f"{name}hi"] = [lo], [hi]
         lo, hi = np.inf, -np.inf
         for tid in batch["tile_id"]:
-            r0 = int(tid) * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            cell = np.arange(r0 * spec.cols, r1 * spec.cols, dtype=np.int64)
-            a = third(cell)
+            a = third(spec.band_cells(tid))
             a = a[a != spec.nodata]
             if len(a):
                 lo = min(lo, a.min()); hi = max(hi, a.max())
@@ -919,13 +854,8 @@ def colour_composite(pair: "rd.Dataset", spec: RasterSpec,
 
     def pack(batch: pd.DataFrame) -> pd.DataFrame:
         out = {"tile_id": [], "data": []}
-        for tid, da, db in zip(batch["tile_id"], batch["data"],
-                               batch["data_b"]):
-            r0 = int(tid) * spec.tile_rows
-            a = np.asarray(da, dtype=np.float64)
-            b = np.asarray(db, dtype=np.float64)
-            cell = np.arange(r0 * spec.cols,
-                             r0 * spec.cols + len(a), dtype=np.int64)
+        for tid, a, b in band_pairs(batch):
+            cell = spec.band_cells(tid)
             c = third(cell)
             valid = (a != spec.nodata) & (b != spec.nodata) \
                 & (c != spec.nodata)
@@ -1044,13 +974,8 @@ def change_vector_analysis(pair: "rd.Dataset",
 
     def per_tile(batch: pd.DataFrame) -> pd.DataFrame:
         out = {"tile_id": [], "data": []}
-        for tid, da, db in zip(batch["tile_id"], batch["data"],
-                               batch["data_b"]):
-            r0 = int(tid) * spec.tile_rows
-            a = np.asarray(da, dtype=np.float64)
-            b = np.asarray(db, dtype=np.float64)
-            cell = np.arange(r0 * spec.cols,
-                             r0 * spec.cols + len(a), dtype=np.int64)
+        for tid, a, b in band_pairs(batch):
+            cell = spec.band_cells(tid)
             c = synth_value((cell * 7 + 13) % n_cells)
             dist = np.zeros_like(a)
             direction = np.zeros_like(a)
@@ -1083,10 +1008,7 @@ def weighted_sum(pair: "rd.Dataset", spec: RasterSpec,
 
     def per_tile(batch: pd.DataFrame) -> pd.DataFrame:
         out = {"tile_id": [], "data": []}
-        for tid, da, db in zip(batch["tile_id"], batch["data"],
-                               batch["data_b"]):
-            a = np.asarray(da, dtype=np.float64)
-            b = np.asarray(db, dtype=np.float64)
+        for tid, a, b in band_pairs(batch):
             ok = (a != spec.nodata) & (b != spec.nodata)
             out["tile_id"].append(int(tid))
             out["data"].append(np.where(ok, a * w1 + b * w2, spec.nodata))
@@ -1142,21 +1064,14 @@ def flip_image(spec: RasterSpec) -> "rd.Dataset":
     column/both reversal)."""
     from .raster import synth_value
 
-    def per_tile(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            rows = np.arange(r0, r1, dtype=np.int64)
-            src = (spec.rows - 1 - rows)[:, None] * spec.cols + \
-                np.arange(spec.cols, dtype=np.int64)[None, :]
-            out["tile_id"].append(tid)
-            out["data"].append(synth_value(src.ravel()))
-        return pd.DataFrame(out)
+    def per_tile(tid: int) -> dict:
+        r0, r1 = spec.band(tid)
+        rows = np.arange(r0, r1, dtype=np.int64)
+        src = (spec.rows - 1 - rows)[:, None] * spec.cols + \
+            np.arange(spec.cols, dtype=np.int64)[None, :]
+        return {"tile_id": [tid], "data": [synth_value(src.ravel())]}
 
-    return rd.range(spec.n_tiles).map_batches(per_tile,
-                                              batch_format="numpy")
+    return tile_task(spec.n_tiles, per_tile)
 
 
 def create_plane(spec: RasterSpec, slope_deg: float = 15.0,
@@ -1170,24 +1085,18 @@ def create_plane(spec: RasterSpec, slope_deg: float = 15.0,
     a = math.radians(aspect)
     cx, cy = math.tan(s) * math.sin(a), math.tan(s) * math.cos(a)
 
-    def per_tile(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            col = np.arange(spec.cols, dtype=np.float64)[None, :]
-            row = np.arange(r0, r1, dtype=np.float64)[:, None]
-            x = spec.cols * (col / (spec.cols - 1))
-            y = spec.rows - spec.rows * (row / (spec.rows - 1))
-            z = cx * x + cy * y + k
-            out["tile_id"].append(tid)
-            out["data"].append(np.broadcast_to(z, (r1 - r0, spec.cols))
-                               .ravel().copy())
-        return pd.DataFrame(out)
+    def per_tile(tid: int) -> dict:
+        r0, r1 = spec.band(tid)
+        col = np.arange(spec.cols, dtype=np.float64)[None, :]
+        row = np.arange(r0, r1, dtype=np.float64)[:, None]
+        x = spec.cols * (col / (spec.cols - 1))
+        y = spec.rows - spec.rows * (row / (spec.rows - 1))
+        z = cx * x + cy * y + k
+        return {"tile_id": [tid],
+                "data": [np.broadcast_to(z, (r1 - r0, spec.cols))
+                           .ravel().copy()]}
 
-    return rd.range(spec.n_tiles).map_batches(per_tile,
-                                              batch_format="numpy")
+    return tile_task(spec.n_tiles, per_tile)
 
 
 _SOBEL_TAPS = [  # (dy, dx, maskX, maskY) — FilterSobel.java:210-213 order
@@ -1232,16 +1141,10 @@ def _mean_elev_terms(spec: RasterSpec, tid: int):
     literal `(x != midPoint) && (y != midPoint)` guard (midPoint 1)
     excludes ANY sample whose ABSOLUTE row or column equals 1 —
     reproduced exactly. Returns (z, n, s, s2) for the tile band."""
-    from .raster import synth_value
 
-    r0 = tid * spec.tile_rows
-    r1 = min(r0 + spec.tile_rows, spec.rows)
-    lo, hi = max(r0 - 1, 0), min(r1 + 1, spec.rows)
-    cell = np.arange(lo * spec.cols, hi * spec.cols, dtype=np.int64)
-    a = synth_value(cell).reshape(hi - lo, spec.cols)
+    r0, r1 = spec.band(tid)
     H = r1 - r0
-    p = np.full((H + 2, spec.cols + 2), spec.nodata)
-    p[1 - (r0 - lo):1 - (r0 - lo) + (hi - lo), 1:-1] = a
+    p = padded_band(spec, tid, 1)
     z = p[1:-1, 1:-1]
     abs_row = np.arange(r0, r1, dtype=np.int64)[:, None]
     abs_col = np.arange(spec.cols, dtype=np.int64)[None, :]
@@ -1260,38 +1163,28 @@ def _mean_elev_terms(spec: RasterSpec, tid: int):
 def diff_from_mean_elevation(spec: RasterSpec) -> "rd.Dataset":
     """DifferenceFromMeanElevation: z − windowMean (n = 0 → NoData in
     place of the reference's 0/0 NaN; the only such cell is (1,1))."""
-    def per_tile(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            z, n, s, _ = _mean_elev_terms(spec, int(tid))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                v = z - s / n
-            v = np.where((z != spec.nodata) & (n > 0), v, spec.nodata)
-            out["tile_id"].append(int(tid))
-            out["data"].append(v.ravel())
-        return pd.DataFrame(out)
+    def per_tile(tid: int) -> dict:
+        z, n, s, _ = _mean_elev_terms(spec, tid)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            v = z - s / n
+        v = np.where((z != spec.nodata) & (n > 0), v, spec.nodata)
+        return {"tile_id": [tid], "data": [v.ravel()]}
 
-    return rd.range(spec.n_tiles).map_batches(per_tile,
-                                              batch_format="numpy")
+    return tile_task(spec.n_tiles, per_tile)
 
 
 def dev_from_mean_elevation(spec: RasterSpec) -> "rd.Dataset":
     """DeviationFromMeanElevation (.java:277-305): (z − mean)/stdDev,
     stdDev = √(s2/n − mean²), emitted only when n > 2."""
-    def per_tile(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            z, n, s, s2 = _mean_elev_terms(spec, int(tid))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                avg = s / n
-                v = (z - avg) / np.sqrt(s2 / n - avg * avg)
-            v = np.where((z != spec.nodata) & (n > 2), v, spec.nodata)
-            out["tile_id"].append(int(tid))
-            out["data"].append(v.ravel())
-        return pd.DataFrame(out)
+    def per_tile(tid: int) -> dict:
+        z, n, s, s2 = _mean_elev_terms(spec, tid)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            avg = s / n
+            v = (z - avg) / np.sqrt(s2 / n - avg * avg)
+        v = np.where((z != spec.nodata) & (n > 2), v, spec.nodata)
+        return {"tile_id": [tid], "data": [v.ravel()]}
 
-    return rd.range(spec.n_tiles).map_batches(per_tile,
-                                              batch_format="numpy")
+    return tile_task(spec.n_tiles, per_tile)
 
 
 def _third_synth(cell: np.ndarray, n_cells: int) -> np.ndarray:
@@ -1312,13 +1205,8 @@ def percent_greater_than(pair: "rd.Dataset", spec: RasterSpec) -> "rd.Dataset":
 
     def per_tile(batch: pd.DataFrame) -> pd.DataFrame:
         out = {"tile_id": [], "data": []}
-        for tid, da, db in zip(batch["tile_id"], batch["data"],
-                               batch["data_b"]):
-            r0 = int(tid) * spec.tile_rows
-            a = np.asarray(da, dtype=np.float64)
-            b = np.asarray(db, dtype=np.float64)
-            cell = np.arange(r0 * spec.cols, r0 * spec.cols + len(a),
-                             dtype=np.int64)
+        for tid, a, b in band_pairs(batch):
+            cell = spec.band_cells(tid)
             c = _third_synth(cell, n_cells)
             okb, okc = b != spec.nodata, c != spec.nodata
             count = (okb & (b > a)).astype(np.float64) \
@@ -1343,13 +1231,8 @@ def average_overlay(pair: "rd.Dataset", spec: RasterSpec) -> "rd.Dataset":
 
     def per_tile(batch: pd.DataFrame) -> pd.DataFrame:
         out = {"tile_id": [], "data": []}
-        for tid, da, db in zip(batch["tile_id"], batch["data"],
-                               batch["data_b"]):
-            r0 = int(tid) * spec.tile_rows
-            a = np.asarray(da, dtype=np.float64)
-            b = np.asarray(db, dtype=np.float64)
-            cell = np.arange(r0 * spec.cols, r0 * spec.cols + len(a),
-                             dtype=np.int64)
+        for tid, a, b in band_pairs(batch):
+            cell = spec.band_cells(tid)
             c = _third_synth(cell, n_cells)
             oka, okb, okc = (a != spec.nodata), (b != spec.nodata), \
                 (c != spec.nodata)
@@ -1370,14 +1253,9 @@ def _stack_tri(batch: pd.DataFrame, spec: RasterSpec):
     """Yield (tile_id, a, b, c) float64 stacks for the standard trio
     {a, b, permuted synth} used by the overlay family."""
     n_cells = spec.rows * spec.cols
-    for tid, da, db in zip(batch["tile_id"], batch["data"],
-                           batch["data_b"]):
-        r0 = int(tid) * spec.tile_rows
-        a = np.asarray(da, dtype=np.float64)
-        b = np.asarray(db, dtype=np.float64)
-        cell = np.arange(r0 * spec.cols, r0 * spec.cols + len(a),
-                         dtype=np.int64)
-        yield int(tid), a, b, _third_synth(cell, n_cells)
+    for tid, a, b in band_pairs(batch):
+        cell = spec.band_cells(tid)
+        yield tid, a, b, _third_synth(cell, n_cells)
 
 
 def stack_overlay(pair: "rd.Dataset", spec: RasterSpec,
@@ -1436,7 +1314,7 @@ def lowest_position(pair: "rd.Dataset", spec: RasterSpec) -> pd.DataFrame:
             pos2 = pos.reshape(-1, spec.cols)
             ok2 = ok.reshape(-1, spec.cols)
             frames.append(pd.DataFrame({
-                "row_id": tid * spec.tile_rows + np.arange(pos2.shape[0]),
+                "row_id": spec.band(tid)[0] + np.arange(pos2.shape[0]),
                 "n_valid": ok2.sum(axis=1).astype(np.int64),
                 "sum_position": np.where(ok2, pos2, 0).sum(axis=1)}))
         return pd.concat(frames, ignore_index=True)
@@ -1546,28 +1424,21 @@ def correct_vignetting(ds: "rd.Dataset", spec: RasterSpec,
     ppx = (spec.cols - 1) / 2.0
     ppy = (spec.rows - 1) / 2.0
 
-    def per_tile(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            cell = np.arange(r0 * spec.cols, r1 * spec.cols,
-                             dtype=np.int64)
-            v = synth_value(cell).reshape(r1 - r0, spec.cols)
-            row = np.arange(r0, r1, dtype=np.float64)[:, None]
-            col = np.arange(spec.cols, dtype=np.float64)[None, :]
-            dist = np.sqrt((row - ppy) * (row - ppy)
-                           + (col - ppx) * (col - ppx))
-            theta = np.arctan(dist * scale / focal_length)
-            f = v / np.power(np.cos(theta), n_exp)
-            out["tile_id"].append(tid)
-            out["data"].append(
-                np.where(v != spec.nodata, f, spec.nodata).ravel())
-        return pd.DataFrame(out)
+    def per_tile(tid: int) -> dict:
+        r0, r1 = spec.band(tid)
+        cell = spec.band_cells(tid)
+        v = synth_value(cell).reshape(r1 - r0, spec.cols)
+        row = np.arange(r0, r1, dtype=np.float64)[:, None]
+        col = np.arange(spec.cols, dtype=np.float64)[None, :]
+        dist = np.sqrt((row - ppy) * (row - ppy)
+                       + (col - ppx) * (col - ppx))
+        theta = np.arctan(dist * scale / focal_length)
+        f = v / np.power(np.cos(theta), n_exp)
+        return {"tile_id": [tid],
+                "data": [
+            np.where(v != spec.nodata, f, spec.nodata).ravel()]}
 
-    tiles = rd.range(spec.n_tiles).map_batches(per_tile,
-                                               batch_format="numpy")
+    tiles = tile_task(spec.n_tiles, per_tile)
     return raster_row_checksums(tiles, spec)
 
 
@@ -1608,67 +1479,60 @@ def pan_sharpen_ihs(ms_spec: RasterSpec | None = None,
     pv = all_pan[all_pan != pan.nodata]
     p_min, p_range = pv.min(), pv.max() - pv.min()
 
-    def per_tile(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * pan.tile_rows
-            r1 = min(r0 + pan.tile_rows, pan.rows)
-            H, W = r1 - r0, pan.cols
-            rp = np.arange(r0, r1, dtype=np.float64)[:, None]
-            cp = np.arange(W, dtype=np.float64)[None, :]
-            y = float(ms.rows) - (float(ms.rows) * rp) / (pan.rows - 1.0)
-            sr = np.floor((float(ms.rows) - y) / float(ms.rows)
-                          * (ms.rows - 0.5) + 0.5)
-            x = (float(ms.cols) * cp) / (pan.cols - 1.0)
-            sc = np.floor(x / float(ms.cols) * (ms.cols - 0.5) + 0.5)
-            written = (sr < ms.rows) & (sc < ms.cols)
-            sri = np.clip(sr, 0, ms.rows - 1).astype(np.int64)
-            sci = np.clip(sc, 0, ms.cols - 1).astype(np.int64)
-            scell = (sri * ms.cols + sci) + np.zeros((H, W), np.int64)
-            pcell = (np.arange(r0, r1, dtype=np.int64)[:, None] * W
-                     + np.arange(W, dtype=np.int64)[None, :])
-            zr, zg = synth_value(scell.ravel()), synth_value_b(scell.ravel())
-            zb = synth_value((scell.ravel() * 7 + 13) % n_ms)
-            zp = pan_value(pcell.ravel())
-            valid = (zp != pan.nodata) & (zr != ms.nodata) & \
-                (zg != ms.nodata) & (zb != ms.nodata)
-            p = (zp - p_min) / p_range
-            r = zr / max_ms
-            g = zg / max_ms
-            b = zb / max_ms
-            m = np.minimum(np.minimum(b, g), r)
-            i = r + g + b
-            with np.errstate(divide="ignore", invalid="ignore"):
-                h = np.where(i == 3.0, 0.0,
-                    np.where(b == m, (g - b) / (i - 3 * b),
-                    np.where(r == m, (b - r) / (i - 3 * r) + 1.0,
-                             (r - g) / (i - 3 * g) + 2.0)))
-                s = np.where(h <= 1.0, (i - 3 * b) / i,
-                    np.where(h <= 2.0, (i - 3 * r) / i, (i - 3 * g) / i))
-                i2 = p * 3.0
-                r2 = np.where(h <= 1.0, i2 * (1 + 2 * s - 3 * s * h) / 3,
-                     np.where(h <= 2.0, i2 * (1 - s) / 3,
-                              i2 * (1 - s + 3 * s * (h - 2)) / 3))
-                g2 = np.where(h <= 1.0, i2 * (1 - s + 3 * s * h) / 3,
-                     np.where(h <= 2.0,
-                              i2 * (1 + 2 * s - 3 * s * (h - 1)) / 3,
-                              i2 * (1 - s) / 3))
-                b2 = np.where(h <= 1.0, i2 * (1 - s) / 3,
-                     np.where(h <= 2.0,
-                              i2 * (1 - s + 3 * s * (h - 1)) / 3,
-                              i2 * (1 + 2 * s - 3 * s * (h - 2)) / 3))
-            ro = np.clip(np.trunc(r2 * 255.0), 0, 255)
-            go = np.clip(np.trunc(g2 * 255.0), 0, 255)
-            bo = np.clip(np.trunc(b2 * 255.0), 0, 255)
-            z = 4278190080.0 + bo * 65536.0 + go * 256.0 + ro
-            ok = valid & written.ravel()
-            out["tile_id"].append(tid)
-            out["data"].append(np.where(ok, z, pan.nodata))
-        return pd.DataFrame(out)
+    def per_tile(tid: int) -> dict:
+        r0, r1 = pan.band(tid)
+        H, W = r1 - r0, pan.cols
+        rp = np.arange(r0, r1, dtype=np.float64)[:, None]
+        cp = np.arange(W, dtype=np.float64)[None, :]
+        y = float(ms.rows) - (float(ms.rows) * rp) / (pan.rows - 1.0)
+        sr = np.floor((float(ms.rows) - y) / float(ms.rows)
+                      * (ms.rows - 0.5) + 0.5)
+        x = (float(ms.cols) * cp) / (pan.cols - 1.0)
+        sc = np.floor(x / float(ms.cols) * (ms.cols - 0.5) + 0.5)
+        written = (sr < ms.rows) & (sc < ms.cols)
+        sri = np.clip(sr, 0, ms.rows - 1).astype(np.int64)
+        sci = np.clip(sc, 0, ms.cols - 1).astype(np.int64)
+        scell = (sri * ms.cols + sci) + np.zeros((H, W), np.int64)
+        pcell = (np.arange(r0, r1, dtype=np.int64)[:, None] * W
+                 + np.arange(W, dtype=np.int64)[None, :])
+        zr, zg = synth_value(scell.ravel()), synth_value_b(scell.ravel())
+        zb = synth_value((scell.ravel() * 7 + 13) % n_ms)
+        zp = pan_value(pcell.ravel())
+        valid = (zp != pan.nodata) & (zr != ms.nodata) & \
+            (zg != ms.nodata) & (zb != ms.nodata)
+        p = (zp - p_min) / p_range
+        r = zr / max_ms
+        g = zg / max_ms
+        b = zb / max_ms
+        m = np.minimum(np.minimum(b, g), r)
+        i = r + g + b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = np.where(i == 3.0, 0.0,
+                np.where(b == m, (g - b) / (i - 3 * b),
+                np.where(r == m, (b - r) / (i - 3 * r) + 1.0,
+                         (r - g) / (i - 3 * g) + 2.0)))
+            s = np.where(h <= 1.0, (i - 3 * b) / i,
+                np.where(h <= 2.0, (i - 3 * r) / i, (i - 3 * g) / i))
+            i2 = p * 3.0
+            r2 = np.where(h <= 1.0, i2 * (1 + 2 * s - 3 * s * h) / 3,
+                 np.where(h <= 2.0, i2 * (1 - s) / 3,
+                          i2 * (1 - s + 3 * s * (h - 2)) / 3))
+            g2 = np.where(h <= 1.0, i2 * (1 - s + 3 * s * h) / 3,
+                 np.where(h <= 2.0,
+                          i2 * (1 + 2 * s - 3 * s * (h - 1)) / 3,
+                          i2 * (1 - s) / 3))
+            b2 = np.where(h <= 1.0, i2 * (1 - s) / 3,
+                 np.where(h <= 2.0,
+                          i2 * (1 - s + 3 * s * (h - 1)) / 3,
+                          i2 * (1 + 2 * s - 3 * s * (h - 2)) / 3))
+        ro = np.clip(np.trunc(r2 * 255.0), 0, 255)
+        go = np.clip(np.trunc(g2 * 255.0), 0, 255)
+        bo = np.clip(np.trunc(b2 * 255.0), 0, 255)
+        z = 4278190080.0 + bo * 65536.0 + go * 256.0 + ro
+        ok = valid & written.ravel()
+        return {"tile_id": [tid], "data": [np.where(ok, z, pan.nodata)]}
 
-    tiles = rd.range(pan.n_tiles).map_batches(per_tile,
-                                              batch_format="numpy")
+    tiles = tile_task(pan.n_tiles, per_tile)
     return raster_row_checksums(tiles, pan)
 
 
@@ -1696,59 +1560,52 @@ def fill_missing_data_holes(spec: RasterSpec | None = None,
          for dy in range(-window, window + 1)
          for dx in range(-window, window + 1) if dy or dx))
 
-    def per_tile(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            H = r1 - r0
-            lo, hi = max(r0 - window - 1, 0), min(r1 + window + 1, spec.rows)
-            cell = np.arange(lo * spec.cols, hi * spec.cols, dtype=np.int64)
-            a = synth_value(cell).reshape(hi - lo, spec.cols)
-            pad_rows = H + 2 * (window + 1)
-            z = np.full((pad_rows, spec.cols + 2 * (window + 1)),
-                        np.nan)
-            w0 = window + 1
-            z[w0 - (r0 - lo):w0 - (r0 - lo) + (hi - lo),
-              w0:-w0] = a
-            ingrid = ~np.isnan(z)
-            hole = ingrid & (z == spec.nodata)
-            valid = ingrid & ~hole
-            # edge mask over the padded plane (1-cell stencil)
-            edge = np.zeros_like(valid)
-            for dy in (-1, 0, 1):
-                for dx in (-1, 0, 1):
-                    if dy == 0 and dx == 0:
-                        continue
-                    edge[1:-1, 1:-1] |= hole[1 + dy:z.shape[0] - 1 + dy,
-                                             1 + dx:z.shape[1] - 1 + dx]
-            edge &= valid
-            # interior view of the tile band
-            hv = hole[w0:w0 + H, w0:-w0]
-            cnt = np.zeros((H, spec.cols), dtype=np.int64)
-            sw = np.zeros((H, spec.cols))
-            swv = np.zeros((H, spec.cols))
-            for d2, dy, dx in offs:
-                e = edge[w0 + dy:w0 + dy + H,
-                         w0 + dx:z.shape[1] - w0 + dx]
-                ev = z[w0 + dy:w0 + dy + H,
-                       w0 + dx:z.shape[1] - w0 + dx]
-                sel = hv & e & (cnt < k)
-                w = 1.0 / d2
-                sw += np.where(sel, w, 0.0)
-                swv += np.where(sel, w * np.where(sel, ev, 0.0), 0.0)
-                cnt += sel
-            assert not (hv & (cnt < k)).any(), \
-                "hole cell found fewer than k edge cells inside window"
-            band = z[w0:w0 + H, w0:-w0]
-            filled = np.where(hv, swv / np.where(hv, sw, 1.0), band)
-            out["tile_id"].append(tid)
-            out["data"].append(filled.ravel())
-        return pd.DataFrame(out)
+    def per_tile(tid: int) -> dict:
+        r0, r1 = spec.band(tid)
+        H = r1 - r0
+        lo, hi = max(r0 - window - 1, 0), min(r1 + window + 1, spec.rows)
+        cell = np.arange(lo * spec.cols, hi * spec.cols, dtype=np.int64)
+        a = synth_value(cell).reshape(hi - lo, spec.cols)
+        pad_rows = H + 2 * (window + 1)
+        z = np.full((pad_rows, spec.cols + 2 * (window + 1)),
+                    np.nan)
+        w0 = window + 1
+        z[w0 - (r0 - lo):w0 - (r0 - lo) + (hi - lo),
+          w0:-w0] = a
+        ingrid = ~np.isnan(z)
+        hole = ingrid & (z == spec.nodata)
+        valid = ingrid & ~hole
+        # edge mask over the padded plane (1-cell stencil)
+        edge = np.zeros_like(valid)
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                if dy == 0 and dx == 0:
+                    continue
+                edge[1:-1, 1:-1] |= hole[1 + dy:z.shape[0] - 1 + dy,
+                                         1 + dx:z.shape[1] - 1 + dx]
+        edge &= valid
+        # interior view of the tile band
+        hv = hole[w0:w0 + H, w0:-w0]
+        cnt = np.zeros((H, spec.cols), dtype=np.int64)
+        sw = np.zeros((H, spec.cols))
+        swv = np.zeros((H, spec.cols))
+        for d2, dy, dx in offs:
+            e = edge[w0 + dy:w0 + dy + H,
+                     w0 + dx:z.shape[1] - w0 + dx]
+            ev = z[w0 + dy:w0 + dy + H,
+                   w0 + dx:z.shape[1] - w0 + dx]
+            sel = hv & e & (cnt < k)
+            w = 1.0 / d2
+            sw += np.where(sel, w, 0.0)
+            swv += np.where(sel, w * np.where(sel, ev, 0.0), 0.0)
+            cnt += sel
+        assert not (hv & (cnt < k)).any(), \
+            "hole cell found fewer than k edge cells inside window"
+        band = z[w0:w0 + H, w0:-w0]
+        filled = np.where(hv, swv / np.where(hv, sw, 1.0), band)
+        return {"tile_id": [tid], "data": [filled.ravel()]}
 
-    tiles = rd.range(spec.n_tiles).map_batches(per_tile,
-                                               batch_format="numpy")
+    tiles = tile_task(spec.n_tiles, per_tile)
     return raster_row_checksums(tiles, spec)
 
 
@@ -2338,47 +2195,36 @@ def filter_adaptive(spec: RasterSpec) -> "rd.Dataset":
     out = average when |(z − avg)/σ_pop| > threshold else z; n ≤ 2 →
     NoData (the unset initialValue). σ is the reference's
     sqrt-only-if-positive population deviation."""
-    from .raster import synth_value
 
     taps = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
 
-    def per_tile(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            lo, hi = max(r0 - 1, 0), min(r1 + 1, spec.rows)
-            cell = np.arange(lo * spec.cols, hi * spec.cols, dtype=np.int64)
-            a = synth_value(cell).reshape(hi - lo, spec.cols)
-            H = r1 - r0
-            p = np.full((H + 2, spec.cols + 2), spec.nodata)
-            p[1 - (r0 - lo):1 - (r0 - lo) + (hi - lo), 1:-1] = a
-            z = p[1:-1, 1:-1]
-            abs_row = np.arange(r0, r1, dtype=np.int64)[:, None]
-            abs_col = np.arange(spec.cols, dtype=np.int64)[None, :]
-            n = np.zeros_like(z)
-            s = np.zeros_like(z)
-            s2 = np.zeros_like(z)
-            for dy, dx in taps:
-                nb = p[1 + dy:1 + dy + H, 1 + dx:1 + dx + spec.cols]
-                ok = (nb != spec.nodata) & (abs_col + dx != 1) \
-                    & (abs_row + dy != 1)
-                n = n + ok
-                s = s + np.where(ok, nb, 0.0)
-                s2 = s2 + np.where(ok, nb * nb, 0.0)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                avg = s / n
-                var = (s2 / n) - (avg * avg)
-                sd = np.where(var > 0, np.sqrt(np.maximum(var, 0.0)), var)
-                swap = np.abs((z - avg) / sd) > ADAPTIVE_THRESHOLD
-            v = np.where(swap, avg, z)
-            v = np.where((z != spec.nodata) & (n > 2), v, spec.nodata)
-            out["tile_id"].append(tid)
-            out["data"].append(v.ravel())
-        return pd.DataFrame(out)
+    def per_tile(tid: int) -> dict:
+        r0, r1 = spec.band(tid)
+        H = r1 - r0
+        p = padded_band(spec, tid, 1)
+        z = p[1:-1, 1:-1]
+        abs_row = np.arange(r0, r1, dtype=np.int64)[:, None]
+        abs_col = np.arange(spec.cols, dtype=np.int64)[None, :]
+        n = np.zeros_like(z)
+        s = np.zeros_like(z)
+        s2 = np.zeros_like(z)
+        for dy, dx in taps:
+            nb = p[1 + dy:1 + dy + H, 1 + dx:1 + dx + spec.cols]
+            ok = (nb != spec.nodata) & (abs_col + dx != 1) \
+                & (abs_row + dy != 1)
+            n = n + ok
+            s = s + np.where(ok, nb, 0.0)
+            s2 = s2 + np.where(ok, nb * nb, 0.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            avg = s / n
+            var = (s2 / n) - (avg * avg)
+            sd = np.where(var > 0, np.sqrt(np.maximum(var, 0.0)), var)
+            swap = np.abs((z - avg) / sd) > ADAPTIVE_THRESHOLD
+        v = np.where(swap, avg, z)
+        v = np.where((z != spec.nodata) & (n > 2), v, spec.nodata)
+        return {"tile_id": [tid], "data": [v.ravel()]}
 
-    return rd.range(spec.n_tiles).map_batches(per_tile, batch_format="numpy")
+    return tile_task(spec.n_tiles, per_tile)
 
 
 # ---------------------------------------------------------------------------
@@ -2421,18 +2267,12 @@ def assign_row_numbers(spec: RasterSpec) -> "rd.Dataset":
     """AssignRowOrColNumber (RasterCreation family): out(r, c) = r —
     pure tile generator."""
 
-    def per_tile(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            rows = np.repeat(np.arange(r0, r1, dtype=np.float64), spec.cols)
-            out["tile_id"].append(tid)
-            out["data"].append(rows)
-        return pd.DataFrame(out)
+    def per_tile(tid: int) -> dict:
+        r0, r1 = spec.band(tid)
+        rows = np.repeat(np.arange(r0, r1, dtype=np.float64), spec.cols)
+        return {"tile_id": [tid], "data": [rows]}
 
-    return rd.range(spec.n_tiles).map_batches(per_tile, batch_format="numpy")
+    return tile_task(spec.n_tiles, per_tile)
 
 
 def new_raster_from_base(spec: RasterSpec,
@@ -2440,17 +2280,12 @@ def new_raster_from_base(spec: RasterSpec,
     """NewRasterFromBase (RasterCreation): constant raster with the base
     grid's dimensions — pure tile generator."""
 
-    def per_tile(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            out["tile_id"].append(tid)
-            out["data"].append(np.full((r1 - r0) * spec.cols, initial))
-        return pd.DataFrame(out)
+    def per_tile(tid: int) -> dict:
+        r0, r1 = spec.band(tid)
+        return {"tile_id": [tid],
+                "data": [np.full((r1 - r0) * spec.cols, initial)]}
 
-    return rd.range(spec.n_tiles).map_batches(per_tile, batch_format="numpy")
+    return tile_task(spec.n_tiles, per_tile)
 
 
 RECLASS_RANGES = [(1.0, 0.0, 250.0), (2.0, 250.0, 500.0),
@@ -2669,24 +2504,17 @@ def balance_contrast_enhancement(ds, spec: RasterSpec, e_target: int = 100):
 def synth_composite(spec: RasterSpec) -> "rd.Dataset":
     """Packed signed RGB composite from the synth band: r = trunc(v·
     0.255), g = trunc(v) % 256, b = cell % 256 (NoData preserved)."""
-    def per_tile(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            cell = np.arange(r0 * spec.cols, r1 * spec.cols, dtype=np.int64)
-            v = synth_value(cell)
-            r = np.trunc(v * 0.255).astype(np.int64)
-            g = (np.trunc(v).astype(np.int64)) % 256
-            b = cell % 256
-            packed = ((255 << 24) | (b << 16) | (g << 8) | r) \
-                .astype(np.int32).astype(np.float64)
-            out["tile_id"].append(tid)
-            out["data"].append(np.where(v == NODATA, v, packed))
-        return pd.DataFrame(out)
+    def per_tile(tid: int) -> dict:
+        cell = spec.band_cells(tid)
+        v = synth_value(cell)
+        r = np.trunc(v * 0.255).astype(np.int64)
+        g = (np.trunc(v).astype(np.int64)) % 256
+        b = cell % 256
+        packed = ((255 << 24) | (b << 16) | (g << 8) | r) \
+            .astype(np.int32).astype(np.float64)
+        return {"tile_id": [tid], "data": [np.where(v == NODATA, v, packed)]}
 
-    return rd.range(spec.n_tiles).map_batches(per_tile, batch_format="numpy")
+    return tile_task(spec.n_tiles, per_tile)
 
 
 def direct_decorrelation_stretch(ds, spec: RasterSpec, k: float = 0.5):
@@ -2912,39 +2740,34 @@ def mosaic_feathering(spec: RasterSpec, power: float = 2.0,
     b_r0, b_c0 = 40, 24
     b_r1, b_c1 = spec.rows - 40, spec.cols - 24
 
-    def per_tile(batch) -> pd.DataFrame:
-        frames = []
-        for tid in batch["id"]:
-            r0 = int(tid) * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            rows = np.arange(r0, r1)
-            c = np.arange(spec.cols)[None, :]
-            r = rows[:, None]
-            cell = r * spec.cols + c
-            a = _feather_value(cell.ravel()).reshape(len(rows), spec.cols)
-            d1 = np.minimum(np.minimum(r, spec.rows - 1 - r),
-                            np.minimum(c, spec.cols - 1 - c)
-                            ).astype(np.float64)
-            in_b = (r >= b_r0) & (r < b_r1) & (c >= b_c0) & (c < b_c1)
-            bcell = (r - b_r0) * (b_c1 - b_c0) + (c - b_c0)
-            b = _feather_value_b(bcell.ravel()).reshape(in_b.shape)
-            d2 = np.minimum(np.minimum(r - b_r0, b_r1 - 1 - r),
-                            np.minimum(c - b_c0, b_c1 - 1 - c)
-                            ).astype(np.float64)
-            w1n = np.power(d1, power)
-            w2n = np.power(d2, power)
-            s = w1n + w2n
-            with np.errstate(invalid="ignore", divide="ignore"):
-                blend = (w1n / s) * a + (w2n / s) * b
-            out = np.where(in_b, blend, a)
-            frames.append(pd.DataFrame({
-                "row_id": rows,
-                "n_valid": np.full(len(rows), spec.cols, dtype=np.int64),
-                "row_sum": np.round(out.sum(axis=1), round_to)}))
-        return pd.concat(frames, ignore_index=True)
+    def per_tile(tid: int) -> pd.DataFrame:
+        r0, r1 = spec.band(tid)
+        rows = np.arange(r0, r1)
+        c = np.arange(spec.cols)[None, :]
+        r = rows[:, None]
+        cell = r * spec.cols + c
+        a = _feather_value(cell.ravel()).reshape(len(rows), spec.cols)
+        d1 = np.minimum(np.minimum(r, spec.rows - 1 - r),
+                        np.minimum(c, spec.cols - 1 - c)
+                        ).astype(np.float64)
+        in_b = (r >= b_r0) & (r < b_r1) & (c >= b_c0) & (c < b_c1)
+        bcell = (r - b_r0) * (b_c1 - b_c0) + (c - b_c0)
+        b = _feather_value_b(bcell.ravel()).reshape(in_b.shape)
+        d2 = np.minimum(np.minimum(r - b_r0, b_r1 - 1 - r),
+                        np.minimum(c - b_c0, b_c1 - 1 - c)
+                        ).astype(np.float64)
+        w1n = np.power(d1, power)
+        w2n = np.power(d2, power)
+        s = w1n + w2n
+        with np.errstate(invalid="ignore", divide="ignore"):
+            blend = (w1n / s) * a + (w2n / s) * b
+        out = np.where(in_b, blend, a)
+        return pd.DataFrame({
+            "row_id": rows,
+            "n_valid": np.full(len(rows), spec.cols, dtype=np.int64),
+            "row_sum": np.round(out.sum(axis=1), round_to)})
 
-    return rd.range(spec.n_tiles).map_batches(per_tile,
-                                              batch_format="numpy")
+    return tile_task(spec.n_tiles, per_tile)
 
 
 def change_data_type_integer(ds, spec: RasterSpec) -> "rd.Dataset":
@@ -2973,41 +2796,28 @@ def change_data_type_integer(ds, spec: RasterSpec) -> "rd.Dataset":
 
 def random_sample(spec: RasterSpec, k: int = 293,
                   round_to: int = 6) -> pd.DataFrame:
-    def tile_counts(batch) -> pd.DataFrame:
-        rows = []
-        for tid in batch["id"]:
-            r0 = int(tid) * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            cell = np.arange(r0 * spec.cols, r1 * spec.cols,
-                             dtype=np.int64)
-            m = ((cell * _A3 + _C3) % _M) % k == 0
-            rows.append({"tile_id": int(tid), "count": int(m.sum())})
-        return pd.DataFrame(rows)
+    def tile_counts(tid: int) -> list:
+        cell = spec.band_cells(tid)
+        m = ((cell * _A3 + _C3) % _M) % k == 0
+        return [{"tile_id": tid, "count": int(m.sum())}]
 
-    counts = (rd.range(spec.n_tiles)
-              .map_batches(tile_counts, batch_format="numpy").to_pandas()
+    counts = (tile_task(spec.n_tiles, tile_counts).to_pandas()
               .sort_values("tile_id"))
     offsets = np.concatenate([[0], counts["count"].cumsum().to_numpy()[:-1]])
     off = {int(t): int(o) for t, o in zip(counts["tile_id"], offsets)}
 
-    def label(batch) -> pd.DataFrame:
-        frames = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            cell = np.arange(r0 * spec.cols, r1 * spec.cols,
-                             dtype=np.int64).reshape(-1, spec.cols)
-            m = ((cell * _A3 + _C3) % _M) % k == 0
-            sid = np.zeros(cell.shape, dtype=np.int64)
-            sid[m] = off[tid] + 1 + np.arange(int(m.sum()))
-            frames.append(pd.DataFrame({
-                "row_id": np.arange(r0, r1),
-                "n_samples": m.sum(axis=1).astype(np.int64),
-                "sum_sample_id": sid.sum(axis=1)}))
-        return pd.concat(frames, ignore_index=True)
+    def label(tid: int) -> pd.DataFrame:
+        r0, r1 = spec.band(tid)
+        cell = spec.band_cells(tid).reshape(-1, spec.cols)
+        m = ((cell * _A3 + _C3) % _M) % k == 0
+        sid = np.zeros(cell.shape, dtype=np.int64)
+        sid[m] = off[tid] + 1 + np.arange(int(m.sum()))
+        return pd.DataFrame({
+            "row_id": np.arange(r0, r1),
+            "n_samples": m.sum(axis=1).astype(np.int64),
+            "sum_sample_id": sid.sum(axis=1)})
 
-    return (rd.range(spec.n_tiles).map_batches(label, batch_format="numpy")
+    return (tile_task(spec.n_tiles, label)
             .to_pandas().sort_values("row_id").reset_index(drop=True))
 
 
@@ -3094,21 +2904,13 @@ def convert_to_smooth_surface(spec: RasterSpec,
 
     cols = spec.cols
 
-    def phase1(batch) -> pd.DataFrame:
-        frames = []
-        for tid in batch["id"]:
-            r0 = int(tid) * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            cell = np.arange(r0 * cols, r1 * cols, dtype=np.int64)
-            z = synth_value(cell).reshape(r1 - r0, cols)
-            z = np.sort(z, axis=1)              # row sort
-            for c in range(cols):
-                frames.append({"col": c, "tile": int(tid),
-                               "vals": z[:, c].tobytes()})
-        return pd.DataFrame(frames)
+    def phase1(tid: int) -> list:
+        z = synth_value(spec.band_cells(tid)).reshape(-1, cols)
+        z = np.sort(z, axis=1)              # row sort
+        return [{"col": c, "tile": tid, "vals": z[:, c].tobytes()}
+                for c in range(cols)]
 
-    parts = (rd.range(spec.n_tiles)
-             .map_batches(phase1, batch_format="numpy"))
+    parts = tile_task(spec.n_tiles, phase1)
 
     def per_col(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("tile")
@@ -3165,10 +2967,7 @@ def write_function_memory(pair: "rd.Dataset",
 
     def pack(batch: pd.DataFrame) -> pd.DataFrame:
         out = {"tile_id": [], "data": []}
-        for tid, da, db in zip(batch["tile_id"], batch["data"],
-                               batch["data_b"]):
-            a = np.asarray(da, dtype=np.float64)
-            b = np.asarray(db, dtype=np.float64)
+        for tid, a, b in band_pairs(batch):
             valid = (a != spec.nodata) & (b != spec.nodata)
             r8 = np.clip(np.trunc((a - rlo) / (rhi - rlo) * 255.0), 0, 255)
             g8 = np.clip(np.trunc((b - glo) / (ghi - glo) * 255.0), 0, 255)
@@ -3192,19 +2991,12 @@ def random_field(spec: RasterSpec, round_to: int = 6) -> "rd.Dataset":
     map (seeded per tile, SURVEY §2.2); exact SQL oracle."""
     from .raster import raster_row_checksums
 
-    def gen(batch) -> pd.DataFrame:
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            r0 = int(tid) * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            cell = np.arange(r0 * spec.cols, r1 * spec.cols,
-                             dtype=np.int64)
-            v = (((cell * _A3 + _C3) % _M) % 101).astype(np.float64) / 100.0
-            out["tile_id"].append(int(tid))
-            out["data"].append(v)
-        return pd.DataFrame(out)
+    def gen(tid: int) -> dict:
+        cell = spec.band_cells(tid)
+        v = (((cell * _A3 + _C3) % _M) % 101).astype(np.float64) / 100.0
+        return {"tile_id": [tid], "data": [v]}
 
-    ds = rd.range(spec.n_tiles).map_batches(gen, batch_format="numpy")
+    ds = tile_task(spec.n_tiles, gen)
     return raster_row_checksums(ds, spec, round_to)
 
 

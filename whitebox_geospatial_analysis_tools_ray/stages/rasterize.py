@@ -34,7 +34,7 @@ import ray
 import ray.data as rd
 
 from ..core.rng import EAST, NORTH, SOUTH, WEST
-from .raster import RasterSpec
+from .raster import RasterSpec, tile_task
 
 
 def grid_geometry(spec: RasterSpec):
@@ -121,24 +121,19 @@ def rasterize_triangles(spec: RasterSpec | None = None,
     Σ(max zone_id) across the row (compact conformance form)."""
     spec = spec or RasterSpec()
     rings_ref = ray.put(seeded_triangle_rings(n_zones))
-    tile_rows = spec.tile_rows
 
-    def per_tile(batch) -> pd.DataFrame:
+    def per_tile(tid: int) -> pd.DataFrame:
         rings = ray.get(rings_ref) if isinstance(rings_ref, ray.ObjectRef) else rings_ref
-        frames = []
-        for tid in batch["id"]:
-            r0 = int(tid) * tile_rows
-            r1 = min(r0 + tile_rows, spec.rows)
-            z = scanline_fill_rows(rings, spec, r0, r1)
-            filled = z >= 0
-            frames.append(pd.DataFrame({
-                "row_id": np.arange(r0, r1),
-                "n_filled": filled.sum(axis=1).astype(np.int64),
-                "sum_zone": np.where(filled, z, 0).sum(axis=1).astype(np.int64),
-            }))
-        return pd.concat(frames, ignore_index=True)
+        r0, r1 = spec.band(tid)
+        z = scanline_fill_rows(rings, spec, r0, r1)
+        filled = z >= 0
+        return pd.DataFrame({
+            "row_id": np.arange(r0, r1),
+            "n_filled": filled.sum(axis=1).astype(np.int64),
+            "sum_zone": np.where(filled, z, 0).sum(axis=1).astype(np.int64),
+        })
 
-    return rd.range(spec.n_tiles).map_batches(per_tile, batch_format="numpy")
+    return tile_task(spec.n_tiles, per_tile)
 
 
 def clip_raster_to_polygon(spec: RasterSpec | None = None,
@@ -150,27 +145,22 @@ def clip_raster_to_polygon(spec: RasterSpec | None = None,
     from .raster import synth_value
     spec = spec or RasterSpec()
     rings_ref = ray.put(seeded_triangle_rings(n_zones))
-    tile_rows = spec.tile_rows
 
-    def per_tile(batch) -> pd.DataFrame:
+    def per_tile(tid: int) -> pd.DataFrame:
         rings = ray.get(rings_ref) if isinstance(rings_ref, ray.ObjectRef) else rings_ref
-        frames = []
-        for tid in batch["id"]:
-            r0 = int(tid) * tile_rows
-            r1 = min(r0 + tile_rows, spec.rows)
-            cell = np.arange(r0 * spec.cols, r1 * spec.cols, dtype=np.int64)
-            a = synth_value(cell).reshape(-1, spec.cols)
-            mask = scanline_fill_rows(rings, spec, r0, r1) >= 0
-            a = np.where(mask, a, spec.nodata)
-            valid = a != spec.nodata
-            frames.append(pd.DataFrame({
-                "row_id": np.arange(r0, r1),
-                "n_valid": valid.sum(axis=1).astype(np.int64),
-                "row_sum": np.round(np.where(valid, a, 0.0).sum(axis=1), 6),
-            }))
-        return pd.concat(frames, ignore_index=True)
+        r0, r1 = spec.band(tid)
+        cell = spec.band_cells(tid)
+        a = synth_value(cell).reshape(-1, spec.cols)
+        mask = scanline_fill_rows(rings, spec, r0, r1) >= 0
+        a = np.where(mask, a, spec.nodata)
+        valid = a != spec.nodata
+        return pd.DataFrame({
+            "row_id": np.arange(r0, r1),
+            "n_valid": valid.sum(axis=1).astype(np.int64),
+            "row_sum": np.round(np.where(valid, a, 0.0).sum(axis=1), 6),
+        })
 
-    return rd.range(spec.n_tiles).map_batches(per_tile, batch_format="numpy")
+    return tile_task(spec.n_tiles, per_tile)
 
 
 # ---------------------------------------------------------------------------
@@ -205,50 +195,45 @@ def rasterize_lines(spec: RasterSpec | None = None,
     res_x, res_y, half_x, half_y, ewrange = grid_geometry(spec)
     nsrange = (NORTH - SOUTH) - res_y
     nrm1, ncm1 = spec.rows - 1, spec.cols - 1
-    tile_rows = spec.tile_rows
 
-    def per_tile(batch) -> pd.DataFrame:
+    def per_tile(tid: int) -> pd.DataFrame:
         lines = ray.get(lines_ref) if isinstance(lines_ref, ray.ObjectRef) \
             else lines_ref
-        frames = []
-        for tid in batch["id"]:
-            r0 = int(tid) * tile_rows
-            r1 = min(r0 + tile_rows, spec.rows)
-            burn = np.full((r1 - r0, spec.cols), -1, dtype=np.int64)
-            rows = np.arange(r0, r1)
-            row_y = NORTH - half_y - rows * res_y
-            col_x = WEST + half_x + np.arange(spec.cols) * res_x
-            for lid, pts in lines:
-                for i in range(len(pts) - 1):
-                    (x1, y1), (x2, y2) = pts[i], pts[i + 1]
-                    # row-crossing pass
-                    if y2 != y1:
-                        m = _is_between(row_y, y1, y2)
-                        if m.any():
-                            xp = x1 + (row_y[m] - y1) / (y2 - y1) * (x2 - x1)
-                            cc = np.floor(ncm1 * (xp - WEST - half_x)
-                                          / ewrange + 0.5).astype(np.int64)
-                            ok = (cc >= 0) & (cc < spec.cols)
-                            rr = np.nonzero(m)[0][ok]
-                            np.maximum.at(burn, (rr, cc[ok]), lid)
-                    # column-crossing pass (rows may fall outside this tile)
-                    if x2 != x1:
-                        m = _is_between(col_x, x1, x2)
-                        if m.any():
-                            yp = y1 + (col_x[m] - x1) / (x2 - x1) * (y2 - y1)
-                            rr = np.floor(nrm1 * (NORTH - half_y - yp)
-                                          / nsrange + 0.5).astype(np.int64)
-                            ok = (rr >= r0) & (rr < r1)
-                            cc = np.nonzero(m)[0][ok]
-                            np.maximum.at(burn, (rr[ok] - r0, cc), lid)
-            hit = burn >= 0
-            frames.append(pd.DataFrame({
-                "row_id": rows,
-                "n_burned": hit.sum(axis=1).astype(np.int64),
-                "sum_line": np.where(hit, burn, 0).sum(axis=1).astype(np.int64)}))
-        return pd.concat(frames, ignore_index=True)
+        r0, r1 = spec.band(tid)
+        burn = np.full((r1 - r0, spec.cols), -1, dtype=np.int64)
+        rows = np.arange(r0, r1)
+        row_y = NORTH - half_y - rows * res_y
+        col_x = WEST + half_x + np.arange(spec.cols) * res_x
+        for lid, pts in lines:
+            for i in range(len(pts) - 1):
+                (x1, y1), (x2, y2) = pts[i], pts[i + 1]
+                # row-crossing pass
+                if y2 != y1:
+                    m = _is_between(row_y, y1, y2)
+                    if m.any():
+                        xp = x1 + (row_y[m] - y1) / (y2 - y1) * (x2 - x1)
+                        cc = np.floor(ncm1 * (xp - WEST - half_x)
+                                      / ewrange + 0.5).astype(np.int64)
+                        ok = (cc >= 0) & (cc < spec.cols)
+                        rr = np.nonzero(m)[0][ok]
+                        np.maximum.at(burn, (rr, cc[ok]), lid)
+                # column-crossing pass (rows may fall outside this tile)
+                if x2 != x1:
+                    m = _is_between(col_x, x1, x2)
+                    if m.any():
+                        yp = y1 + (col_x[m] - x1) / (x2 - x1) * (y2 - y1)
+                        rr = np.floor(nrm1 * (NORTH - half_y - yp)
+                                      / nsrange + 0.5).astype(np.int64)
+                        ok = (rr >= r0) & (rr < r1)
+                        cc = np.nonzero(m)[0][ok]
+                        np.maximum.at(burn, (rr[ok] - r0, cc), lid)
+        hit = burn >= 0
+        return pd.DataFrame({
+            "row_id": rows,
+            "n_burned": hit.sum(axis=1).astype(np.int64),
+            "sum_line": np.where(hit, burn, 0).sum(axis=1).astype(np.int64)})
 
-    return rd.range(spec.n_tiles).map_batches(per_tile, batch_format="numpy")
+    return tile_task(spec.n_tiles, per_tile)
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,9 @@ import json
 import numpy as np
 import pandas as pd
 import ray
-import ray.data as rd
 
 from .hydro import _tile_pointers, flow_accumulation_tile_refs
-from .raster import RasterSpec
+from .raster import RasterSpec, tile_task
 from .terrain import _DX, _DY
 from .util import combine
 
@@ -133,7 +132,7 @@ def _topology_fixed_point(spec: RasterSpec, threshold: float,
 
     def solve(state, tid: int, inbox) -> dict:
         z, ptr, stream = state
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         _, _, _, emits = _solve_tile(z, ptr, stream, r0, cols,
                                      _merge_ext(inbox), spec.nodata)
         out: dict = {}
@@ -160,7 +159,7 @@ def stream_topology_tile_refs(spec: RasterSpec, threshold: float = 5.0,
 
     def extract(state, tid: int, inbox):
         z, ptr, stream = state
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         order, mag, label, _ = _solve_tile(z, ptr, stream, r0, cols,
                                            _merge_ext(inbox), spec.nodata)
         return ray.put((order, mag, label, stream))
@@ -175,28 +174,23 @@ def _row_aggregates(topo_refs: dict, spec: RasterSpec) -> pd.DataFrame:
     raster-sized on the driver."""
     cols = spec.cols
 
-    def per_tile(batch) -> pd.DataFrame:
-        out = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            order, mag, label, stream = ray.get(topo_refs[tid])
-            h = order.shape[0]
-            r0 = tid * spec.tile_rows
-            gcell = (np.arange(r0, r0 + h)[:, None] * cols
-                     + np.arange(cols)[None, :])
-            heads = stream & (label == gcell)
-            out.append(pd.DataFrame({
-                "row_id": np.arange(r0, r0 + h),
-                "n_stream": stream.sum(axis=1).astype(np.int64),
-                "max_order": order.max(axis=1).astype(np.int64),
-                "sum_order": order.sum(axis=1).astype(np.int64),
-                "sum_magnitude": mag.sum(axis=1),
-                "n_heads": heads.sum(axis=1).astype(np.int64),
-                "sum_label": np.where(stream, label, 0).sum(axis=1)}))
-        return pd.concat(out, ignore_index=True)
+    def per_tile(tid: int) -> pd.DataFrame:
+        order, mag, label, stream = ray.get(topo_refs[tid])
+        h = order.shape[0]
+        r0 = spec.band(tid)[0]
+        gcell = (np.arange(r0, r0 + h)[:, None] * cols
+                 + np.arange(cols)[None, :])
+        heads = stream & (label == gcell)
+        return pd.DataFrame({
+            "row_id": np.arange(r0, r0 + h),
+            "n_stream": stream.sum(axis=1).astype(np.int64),
+            "max_order": order.max(axis=1).astype(np.int64),
+            "sum_order": order.sum(axis=1).astype(np.int64),
+            "sum_magnitude": mag.sum(axis=1),
+            "n_heads": heads.sum(axis=1).astype(np.int64),
+            "sum_label": np.where(stream, label, 0).sum(axis=1)})
 
-    final = (rd.range(spec.n_tiles).map_batches(per_tile,
-                                                batch_format="numpy")
+    final = (tile_task(spec.n_tiles, per_tile)
              .to_pandas())
     return final.sort_values("row_id").reset_index(drop=True)
 
@@ -227,14 +221,10 @@ def stream_link_lengths(spec: RasterSpec | None = None,
     cols = spec.cols
     topo_refs = stream_topology_tile_refs(spec, threshold)
 
-    def partial(batch) -> pd.DataFrame:
-        parts = []
-        for tid in batch["id"]:
-            _o, _m, label, stream = ray.get(topo_refs[int(tid)])
-            labs, counts = np.unique(label[stream], return_counts=True)
-            parts.append(pd.DataFrame({"label": labs, "n": counts}))
-        return pd.concat(parts, ignore_index=True) if parts else \
-            pd.DataFrame({"label": [], "n": []})
+    def partial(tid: int) -> pd.DataFrame:
+        _o, _m, label, stream = ray.get(topo_refs[tid])
+        labs, counts = np.unique(label[stream], return_counts=True)
+        return pd.DataFrame({"label": labs, "n": counts})
 
     # one summary row per combine call (whole links each), folded here
     def summary(df: pd.DataFrame) -> pd.DataFrame:
@@ -244,7 +234,7 @@ def stream_link_lengths(spec: RasterSpec | None = None,
                              "max_link_len": [int(n.max()) if len(n) else 0]})
 
     calls = combine(
-        rd.range(spec.n_tiles).map_batches(partial, batch_format="numpy"),
+        tile_task(spec.n_tiles, partial),
         "label", summary).to_pandas()
     if calls.empty:
         return calls
@@ -296,23 +286,18 @@ def stream_link_slope(spec: RasterSpec | None = None,
     cols = spec.cols
     topo_refs = stream_topology_tile_refs(spec, threshold)
 
-    def partial(batch) -> pd.DataFrame:
-        parts = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            _o, _m, label, stream = ray.get(topo_refs[tid])
-            z, ptr = _tile_pointers(spec, tid)
-            code = np.where(ptr > 0, np.log2(np.maximum(ptr, 1.0)), -1
-                            ).astype(np.int64)
-            step = np.where(code >= 0, np.take(_GRID_LEN, code, mode="clip"),
-                            0.0)
-            df = pd.DataFrame({"label": label[stream], "z": z[stream],
-                               "step": step[stream]})
-            g = df.groupby("label").agg(zmin=("z", "min"), zmax=("z", "max"),
-                                        length=("step", "sum"))
-            parts.append(g.reset_index())
-        return pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
-            {"label": [], "zmin": [], "zmax": [], "length": []})
+    def partial(tid: int) -> pd.DataFrame:
+        _o, _m, label, stream = ray.get(topo_refs[tid])
+        z, ptr = _tile_pointers(spec, tid)
+        code = np.where(ptr > 0, np.log2(np.maximum(ptr, 1.0)), -1
+                        ).astype(np.int64)
+        step = np.where(code >= 0, np.take(_GRID_LEN, code, mode="clip"),
+                        0.0)
+        df = pd.DataFrame({"label": label[stream], "z": z[stream],
+                           "step": step[stream]})
+        g = df.groupby("label").agg(zmin=("z", "min"), zmax=("z", "max"),
+                                    length=("step", "sum"))
+        return g.reset_index()
 
     def finalize(t: pd.DataFrame) -> pd.DataFrame:
         relief = t["zmax"] - t["zmin"]
@@ -336,7 +321,7 @@ def stream_link_slope(spec: RasterSpec | None = None,
         return finalize(g)
 
     per_link = combine(
-        rd.range(spec.n_tiles).map_batches(partial, batch_format="numpy"),
+        tile_task(spec.n_tiles, partial),
         "label", per_link_stats).to_pandas()
     return per_link.sort_values("label").reset_index(drop=True)
 
@@ -444,7 +429,7 @@ def find_main_stem(spec: RasterSpec | None = None, threshold: float = 5.0,
 
         ze, pe, ae, se = state
         h = ze.shape[0] - 2
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         ext: set = set()
         for _sender, msg in inbox:
             ext.update(msg)
@@ -517,7 +502,7 @@ def find_main_stem(spec: RasterSpec | None = None, threshold: float = 5.0,
 
     def extract(state, tid: int, inbox) -> pd.DataFrame:
         ms, se, _ = _run(state, tid, inbox)
-        rr0 = tid * spec.tile_rows
+        rr0 = spec.band(tid)[0]
         return pd.DataFrame({
             "row_id": np.arange(rr0, rr0 + ms.shape[0]),
             "n_stream": se[1:-1].sum(axis=1).astype(np.int64),
@@ -591,27 +576,21 @@ def streams_to_vector(spec: RasterSpec | None = None,
     cols = spec.cols
     topo_refs = stream_topology_tile_refs(spec, threshold)
 
-    def partial(batch) -> pd.DataFrame:
-        parts = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            _o, _m, label, stream = ray.get(topo_refs[tid])
-            z, ptr = _tile_pointers(spec, tid)
-            r0 = tid * spec.tile_rows
-            rr, cc = np.nonzero(stream)
-            gcell = (rr + r0) * cols + cc
-            code = ptr[rr, cc]
-            nxt = np.full(len(rr), -1, dtype=np.int64)
-            pos = code > 0
-            if pos.any():
-                i = (np.log2(code[pos])).astype(np.int64)
-                nxt[pos] = ((rr[pos] + r0 + np.take(_DY, i)) * cols
-                            + cc[pos] + np.take(_DX, i))
-            parts.append(pd.DataFrame({"label": label[rr, cc],
-                                       "gcell": gcell, "nxt": nxt}))
-        return pd.concat(parts, ignore_index=True) if parts else \
-            pd.DataFrame({"label": pd.Series([], dtype="int64"),
-                          "gcell": [], "nxt": []})
+    def partial(tid: int) -> pd.DataFrame:
+        _o, _m, label, stream = ray.get(topo_refs[tid])
+        z, ptr = _tile_pointers(spec, tid)
+        r0 = spec.band(tid)[0]
+        rr, cc = np.nonzero(stream)
+        gcell = (rr + r0) * cols + cc
+        code = ptr[rr, cc]
+        nxt = np.full(len(rr), -1, dtype=np.int64)
+        pos = code > 0
+        if pos.any():
+            i = (np.log2(code[pos])).astype(np.int64)
+            nxt[pos] = ((rr[pos] + r0 + np.take(_DY, i)) * cols
+                        + cc[pos] + np.take(_DX, i))
+        return pd.DataFrame({"label": label[rr, cc],
+                             "gcell": gcell, "nxt": nxt})
 
     def _walk(lab: int, df: pd.DataFrame) -> tuple:
         cells = dict(zip(df["gcell"].to_numpy(), df["nxt"].to_numpy()))
@@ -637,8 +616,7 @@ def streams_to_vector(spec: RasterSpec | None = None,
                                           "path_hash"])
         return out.astype("int64")
 
-    got = combine(rd.range(spec.n_tiles).map_batches(partial,
-                                                     batch_format="numpy"),
+    got = combine(tile_task(spec.n_tiles, partial),
                   "label", per_bucket).to_pandas()
     return got.sort_values("label").reset_index(drop=True)
 
@@ -734,7 +712,7 @@ def _downslope_label_fill(spec: RasterSpec, threshold: float,
 
         z, ptr, link, stream = state
         H = z.shape[0]
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         ext: dict = {}
         for _sender, msg in inbox:
             ext.update(msg)
@@ -759,7 +737,7 @@ def _downslope_label_fill(spec: RasterSpec, threshold: float,
 
     def solve(state, tid: int, inbox) -> dict:
         lab = _fill(state, tid, inbox)
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         h = lab.shape[0]
         top, bot = lab[0], lab[-1]
         out: dict = {}
@@ -775,7 +753,7 @@ def _downslope_label_fill(spec: RasterSpec, threshold: float,
 
     def extract(state, tid: int, inbox) -> pd.DataFrame:
         lab = _fill(state, tid, inbox)
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         m = lab >= 0
         return pd.DataFrame({
             "row_id": np.arange(r0, r0 + lab.shape[0]),
@@ -857,7 +835,7 @@ def hack_order(spec: RasterSpec | None = None, threshold: float = 5.0,
     def _run(state, tid: int, inbox):
         ze, pe, ae, se = state
         h = ze.shape[0] - 2
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         ext: dict = {}
         for _sender, msg in inbox:  # min-combine across senders
             for g, v in msg.items():
@@ -973,7 +951,7 @@ def hack_order(spec: RasterSpec | None = None, threshold: float = 5.0,
 
     def extract(state, tid: int, inbox) -> pd.DataFrame:
         hk, se, _ = _run(state, tid, inbox)
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         return pd.DataFrame({
             "row_id": np.arange(r0, r0 + hk.shape[0]),
             "n_stream": se[1:-1].sum(axis=1).astype(np.int64),
@@ -1185,7 +1163,7 @@ def _hillslope_plane(spec: RasterSpec, threshold: float, tid: int,
                        up_sp[1] if up_sp else None,
                        dn_sp[0] if dn_sp else None,
                        dn_sp[1] if dn_sp else None)
-    r0 = tid * spec.tile_rows
+    r0 = spec.band(tid)[0]
     gcell = (np.arange(z.shape[0], dtype=np.int64)[:, None] + r0) \
         * cols + np.arange(cols, dtype=np.int64)[None, :]
     base = np.where(heads, 2 * gcell + 1, 2 * link)
@@ -1276,7 +1254,7 @@ def hillslopes(spec: RasterSpec | None = None, threshold: float = 5.0,
 
         z, ptr, snod, seed = state
         H = z.shape[0]
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         ext: dict = {}
         for _sender, msg in inbox:
             ext.update(msg)
@@ -1316,7 +1294,7 @@ def hillslopes(spec: RasterSpec | None = None, threshold: float = 5.0,
 
     def solve(state, tid: int, inbox) -> dict:
         lab = _fill(state, tid, inbox)
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         H = lab.shape[0]
         out: dict = {}
         if tid > 0:
@@ -1329,7 +1307,7 @@ def hillslopes(spec: RasterSpec | None = None, threshold: float = 5.0,
 
     def extract(state, tid: int, inbox) -> pd.DataFrame:
         lab = _fill(state, tid, inbox)
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         return pd.DataFrame({
             "row_id": np.arange(r0, r0 + lab.shape[0]),
             "n_assigned": (lab >= 0).sum(axis=1).astype(np.int64),
@@ -1414,42 +1392,37 @@ def stream_link_classification(spec: RasterSpec | None = None,
     acc_refs = flow_accumulation_tile_refs(spec)
     topo_refs = stream_topology_tile_refs(spec, threshold)
 
-    def per_tile(batch) -> pd.DataFrame:
-        parts = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            # fetch ONLY this tile's topology + the ≤3 acc tiles the
-            # one-row halo needs — nothing raster-sized on the driver
-            acc_local = {t: ray.get(acc_refs[t])
-                         for t in (tid - 1, tid, tid + 1) if 0 <= t < n}
-            ze, pe, ae, se = _tile_halo_arrays(spec, tid, acc_local,
-                                               threshold)
-            _, mag, _, _ = ray.get(topo_refs[tid])
-            H = mag.shape[0]
-            # vectorized 8-shift inflow count (production stencil form)
-            sp = np.zeros((H + 2, cols + 2), dtype=bool)
-            pp = np.zeros((H + 2, cols + 2))
-            sp[:, 1:-1] = se
-            pp[:, 1:-1] = pe
-            inflow = np.zeros((H, cols), dtype=np.int64)
-            for i in range(8):
-                dy, dx = _DY[i], _DX[i]
-                ns = sp[1 + dy:1 + dy + H, 1 + dx:1 + dx + cols]
-                np_ = pp[1 + dy:1 + dy + H, 1 + dx:1 + dx + cols]
-                inflow += ns & (np_ == float(1 << ((i + 4) % 8)))
-            own_se = se[1:-1]
-            own_pe = pe[1:-1]
-            cls = np.where(
-                ~own_se, -1,
-                np.where(own_pe == 0, 5,
-                         np.where(inflow == 0, 3,
-                                  np.where(inflow > 1, 4,
-                                           np.minimum(2, mag)))))
-            vals, counts = np.unique(cls[cls >= 0], return_counts=True)
-            parts.append(pd.DataFrame({"class_value": vals,
-                                       "n": counts.astype(np.int64)}))
-        return pd.concat(parts, ignore_index=True) if parts else \
-            pd.DataFrame({"class_value": [], "n": []})
+    def per_tile(tid: int) -> pd.DataFrame:
+        # fetch ONLY this tile's topology + the ≤3 acc tiles the
+        # one-row halo needs — nothing raster-sized on the driver
+        acc_local = {t: ray.get(acc_refs[t])
+                     for t in (tid - 1, tid, tid + 1) if 0 <= t < n}
+        ze, pe, ae, se = _tile_halo_arrays(spec, tid, acc_local,
+                                           threshold)
+        _, mag, _, _ = ray.get(topo_refs[tid])
+        H = mag.shape[0]
+        # vectorized 8-shift inflow count (production stencil form)
+        sp = np.zeros((H + 2, cols + 2), dtype=bool)
+        pp = np.zeros((H + 2, cols + 2))
+        sp[:, 1:-1] = se
+        pp[:, 1:-1] = pe
+        inflow = np.zeros((H, cols), dtype=np.int64)
+        for i in range(8):
+            dy, dx = _DY[i], _DX[i]
+            ns = sp[1 + dy:1 + dy + H, 1 + dx:1 + dx + cols]
+            np_ = pp[1 + dy:1 + dy + H, 1 + dx:1 + dx + cols]
+            inflow += ns & (np_ == float(1 << ((i + 4) % 8)))
+        own_se = se[1:-1]
+        own_pe = pe[1:-1]
+        cls = np.where(
+            ~own_se, -1,
+            np.where(own_pe == 0, 5,
+                     np.where(inflow == 0, 3,
+                              np.where(inflow > 1, 4,
+                                       np.minimum(2, mag)))))
+        vals, counts = np.unique(cls[cls >= 0], return_counts=True)
+        return pd.DataFrame({"class_value": vals,
+                             "n": counts.astype(np.int64)})
 
     def class_counts(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("class_value", sort=True, as_index=False)["n"].sum()
@@ -1457,7 +1430,7 @@ def stream_link_classification(spec: RasterSpec | None = None,
                              "n_cells": g["n"].astype(np.int64)})
 
     return combine(
-        rd.range(spec.n_tiles).map_batches(per_tile, batch_format="numpy"),
+        tile_task(spec.n_tiles, per_tile),
         "class_value", class_counts).to_pandas()
 
 
@@ -1607,54 +1580,48 @@ def remove_short_streams(spec: RasterSpec | None = None,
         se = (ze != spec.nodata) & (ae >= threshold)
         return ze, pe, ae, se
 
-    def per_tile(batch) -> pd.DataFrame:
-        rows = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            # ≤3 acc tiles (two-row halo) + this tile's topology only
-            acc_local = {t: ray.get(acc_refs[t])
-                         for t in (tid - 1, tid, tid + 1) if 0 <= t < n}
-            ze, pe, ae, se = _two_halo(tid, acc_local)
-            _, mag, label, _ = ray.get(topo_refs[tid])
-            H = label.shape[0]
-            He = H + 4
-            # inflow count for EVERY extended row (vectorized 8-shift)
-            sp = np.zeros((He + 2, cols + 2), dtype=bool)
-            pp = np.zeros((He + 2, cols + 2))
-            sp[1:-1, 1:-1] = se
-            pp[1:-1, 1:-1] = pe
-            inflow_ext = np.zeros((He, cols), dtype=np.int64)
-            for j in range(8):
-                dy, dx = _DY[j], _DX[j]
-                ns = sp[1 + dy:1 + dy + He, 1 + dx:1 + dx + cols]
-                np_ = pp[1 + dy:1 + dy + He, 1 + dx:1 + dx + cols]
-                inflow_ext += ns & (np_ == float(1 << ((j + 4) % 8)))
-            own_se = se[2:-2]
-            code = pe[2:-2]
-            valid = own_se & (code > 0) & (code != spec.nodata)
-            idx = np.zeros((H, cols), dtype=np.int64)
-            idx[valid] = np.round(np.log2(code[valid])).astype(np.int64)
-            gl = np.asarray(_GRID_LEN)
-            step = np.where(valid, gl[idx], 0.0)
-            r2 = np.arange(2, H + 2, dtype=np.int64)[:, None] \
-                + np.asarray(_DY)[idx]
-            c2 = np.arange(cols, dtype=np.int64)[None, :] \
-                + np.asarray(_DX)[idx]
-            in_grid = (c2 >= 0) & (c2 < cols)
-            r2c = np.clip(r2, 0, He - 1)
-            c2c = np.clip(c2, 0, cols - 1)
-            conf_end = valid & in_grid & se[r2c, c2c] \
-                & (inflow_ext[r2c, c2c] > 1)
-            m = own_se
-            rows.append(pd.DataFrame({
-                "label": label[m],
-                "n": np.ones(int(m.sum()), dtype=np.int64),
-                "len": step[m],
-                "mag": mag[m],
-                "conf": conf_end[m]}))
-        return pd.concat(rows, ignore_index=True) if rows else \
-            pd.DataFrame({"label": [], "n": [], "len": [], "mag": [],
-                          "conf": []})
+    def per_tile(tid: int) -> pd.DataFrame:
+        # ≤3 acc tiles (two-row halo) + this tile's topology only
+        acc_local = {t: ray.get(acc_refs[t])
+                     for t in (tid - 1, tid, tid + 1) if 0 <= t < n}
+        ze, pe, ae, se = _two_halo(tid, acc_local)
+        _, mag, label, _ = ray.get(topo_refs[tid])
+        H = label.shape[0]
+        He = H + 4
+        # inflow count for EVERY extended row (vectorized 8-shift)
+        sp = np.zeros((He + 2, cols + 2), dtype=bool)
+        pp = np.zeros((He + 2, cols + 2))
+        sp[1:-1, 1:-1] = se
+        pp[1:-1, 1:-1] = pe
+        inflow_ext = np.zeros((He, cols), dtype=np.int64)
+        for j in range(8):
+            dy, dx = _DY[j], _DX[j]
+            ns = sp[1 + dy:1 + dy + He, 1 + dx:1 + dx + cols]
+            np_ = pp[1 + dy:1 + dy + He, 1 + dx:1 + dx + cols]
+            inflow_ext += ns & (np_ == float(1 << ((j + 4) % 8)))
+        own_se = se[2:-2]
+        code = pe[2:-2]
+        valid = own_se & (code > 0) & (code != spec.nodata)
+        idx = np.zeros((H, cols), dtype=np.int64)
+        idx[valid] = np.round(np.log2(code[valid])).astype(np.int64)
+        gl = np.asarray(_GRID_LEN)
+        step = np.where(valid, gl[idx], 0.0)
+        r2 = np.arange(2, H + 2, dtype=np.int64)[:, None] \
+            + np.asarray(_DY)[idx]
+        c2 = np.arange(cols, dtype=np.int64)[None, :] \
+            + np.asarray(_DX)[idx]
+        in_grid = (c2 >= 0) & (c2 < cols)
+        r2c = np.clip(r2, 0, He - 1)
+        c2c = np.clip(c2, 0, cols - 1)
+        conf_end = valid & in_grid & se[r2c, c2c] \
+            & (inflow_ext[r2c, c2c] > 1)
+        m = own_se
+        return pd.DataFrame({
+            "label": label[m],
+            "n": np.ones(int(m.sum()), dtype=np.int64),
+            "len": step[m],
+            "mag": mag[m],
+            "conf": conf_end[m]})
 
     # one summary row per combine call (whole links each), summed here
     def summary(df: pd.DataFrame) -> pd.DataFrame:
@@ -1670,7 +1637,7 @@ def remove_short_streams(spec: RasterSpec | None = None,
             "remaining_cells": [int(g["n"].sum() - removed["n"].sum())]})
 
     calls = combine(
-        rd.range(spec.n_tiles).map_batches(per_tile, batch_format="numpy"),
+        tile_task(spec.n_tiles, per_tile),
         "label", summary).to_pandas()
     return calls if calls.empty else calls.sum().to_frame().T.astype("int64")
 
@@ -1785,7 +1752,7 @@ def _downslope_stream_value(spec: RasterSpec, threshold: float,
 
         z, ptr, stream = state
         H = z.shape[0]
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         ext: dict = {}
         for _sender, msg in inbox:
             ext.update(msg)
@@ -1835,7 +1802,7 @@ def _downslope_stream_value(spec: RasterSpec, threshold: float,
 
     def solve(state, tid: int, inbox) -> dict:
         val = _fill(state, tid, inbox)
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         h = val.shape[0]
         top, bot = val[0], val[-1]
         out: dict = {}
@@ -1852,7 +1819,7 @@ def _downslope_stream_value(spec: RasterSpec, threshold: float,
     def extract(state, tid: int, inbox) -> pd.DataFrame:
         z = state[0]
         val = _fill(state, tid, inbox)
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         m = val != _UNREACHED
         if kind.endswith("elev"):
             res_plane = np.where(m, z - val, 0.0)
@@ -2086,7 +2053,7 @@ def median_upstream_area(spec: RasterSpec | None = None,
         hist, stream, _, _ = _run(state, tid, inbox)
         med = _sketch_median_plane(hist)
         med = np.where(stream, med, 0.0)
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         return pd.DataFrame({
             "row_id": np.arange(r0, r0 + hist.shape[0]),
             "n_stream": stream.sum(axis=1).astype(np.int64),
@@ -2180,8 +2147,7 @@ def _valley_plane_ext(spec: RasterSpec, tid: int) -> np.ndarray:
     from .raster import synth_value as sv
 
     cols = spec.cols
-    r0 = tid * spec.tile_rows
-    r1 = min(r0 + spec.tile_rows, spec.rows)
+    r0, r1 = spec.band(tid)
     lo = max(r0 - 2, 0)
     hi = min(r1 + 2, spec.rows)
     cell = np.arange(lo * cols, hi * cols, dtype=np.int64)
@@ -2224,7 +2190,7 @@ def find_saddle_points(spec: RasterSpec | None = None,
     def build(tid: int):
         z, ptr = _tile_pointers(spec, tid)
         H = z.shape[0]
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         vext, vr0 = _valley_plane_ext(spec, tid)
         off = r0 - vr0                  # own rows inside vext
         valley = vext[off:off + H]
@@ -2252,7 +2218,7 @@ def find_saddle_points(spec: RasterSpec | None = None,
     def _fill(state, tid: int, inbox) -> np.ndarray:
         z, ptr, valley, head = state
         H = z.shape[0]
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         ext: dict = {}
         for _sender, msg in inbox:
             ext.update(msg)
@@ -2284,7 +2250,7 @@ def find_saddle_points(spec: RasterSpec | None = None,
 
     def solve(state, tid: int, inbox) -> dict:
         lab = _fill(state, tid, inbox)
-        r0 = tid * spec.tile_rows
+        r0 = spec.band(tid)[0]
         h = lab.shape[0]
         top, bot = lab[0], lab[-1]
         out: dict = {}
@@ -2342,7 +2308,7 @@ def _saddle_scan(spec: RasterSpec, tid: int, lab, up_last, dn_first) -> dict:
     cols = spec.cols
     z, ptr = _tile_pointers(spec, tid)
     H = z.shape[0]
-    r0 = tid * spec.tile_rows
+    r0 = spec.band(tid)[0]
     ridge = _ridge_init_band(spec, tid) == 1.0
     le = np.full((H + 2, cols), -1, dtype=np.int64)
     le[1:-1] = lab
@@ -2448,20 +2414,15 @@ def stream_magnitude(spec: RasterSpec | None = None,
     spec = spec or RasterSpec()
     topo_refs = stream_topology_tile_refs(spec, threshold)
 
-    def per_tile(batch) -> pd.DataFrame:
-        out = []
-        for tid in batch["id"]:
-            tid = int(tid)
-            _o, mag, _l, stream = ray.get(topo_refs[tid])
-            r0 = tid * spec.tile_rows
-            out.append(pd.DataFrame({
-                "row_id": np.arange(r0, r0 + mag.shape[0]),
-                "n_stream": stream.sum(axis=1).astype(np.int64),
-                "sum_magnitude": np.where(stream, mag, 0).sum(axis=1),
-                "max_magnitude": np.where(stream, mag, 0).max(axis=1)}))
-        return pd.concat(out, ignore_index=True)
+    def per_tile(tid: int) -> pd.DataFrame:
+        _o, mag, _l, stream = ray.get(topo_refs[tid])
+        r0 = spec.band(tid)[0]
+        return pd.DataFrame({
+            "row_id": np.arange(r0, r0 + mag.shape[0]),
+            "n_stream": stream.sum(axis=1).astype(np.int64),
+            "sum_magnitude": np.where(stream, mag, 0).sum(axis=1),
+            "max_magnitude": np.where(stream, mag, 0).max(axis=1)})
 
-    final = (rd.range(spec.n_tiles).map_batches(per_tile,
-                                                batch_format="numpy")
+    final = (tile_task(spec.n_tiles, per_tile)
              .to_pandas())
     return final.sort_values("row_id").reset_index(drop=True)

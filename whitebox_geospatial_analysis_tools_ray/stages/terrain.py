@@ -32,7 +32,7 @@ import math
 import numpy as np
 import ray.data as rd
 
-from .raster import RasterSpec, stencil_apply
+from .raster import RasterSpec, padded_band, stencil_apply, tile_task
 
 # Neighbour order i=0..7: NE,E,SE,S,SW,W,NW,N (reference Dx/Dy above).
 _DX = (1, 1, 1, 0, -1, -1, -1, 0)
@@ -232,43 +232,37 @@ def horizon_angle_east(spec: RasterSpec, max_dist: float = 1e9,
     embarrassingly parallel per band — no messages at all. O(cols²) per
     row, vectorized per offset. Output: (row_id, n_valid, sum_angle)."""
     import pandas as pd
-    import ray.data as rd
 
     from .raster import synth_value
 
     cols = spec.cols
 
-    def per_tile(batch) -> "pd.DataFrame":
-        frames = []
-        for tid in batch["id"]:
-            r0 = int(tid) * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            cell = np.arange(r0 * cols, r1 * cols, dtype=np.int64)
-            z = synth_value(cell).reshape(r1 - r0, cols)
-            valid = z != spec.nodata
-            best = np.full(z.shape, -np.inf)
-            for d in range(1, cols):
-                if d > max_dist:
-                    break
-                zn = z[:, d:]
-                cur = best[:, :-d]
-                # NoData samples: getValue returns NoData (a huge
-                # negative) and participates — replicate exactly
-                s = (zn - z[:, :-d]) / float(d)
-                best[:, :-d] = np.maximum(cur, s)
-            has_east = np.zeros(z.shape, dtype=bool)
-            has_east[:, :-1] = True
-            angle = np.degrees(np.arctan(best))
-            ok = valid & has_east
-            frames.append(pd.DataFrame({
-                "row_id": np.arange(r0, r1),
-                "n_valid": ok.sum(axis=1).astype(np.int64),
-                "row_sum": np.round(
-                    np.where(ok, angle, 0.0).sum(axis=1), round_to)}))
-        return pd.concat(frames, ignore_index=True)
+    def per_tile(tid: int) -> "pd.DataFrame":
+        r0, r1 = spec.band(tid)
+        cell = np.arange(r0 * cols, r1 * cols, dtype=np.int64)
+        z = synth_value(cell).reshape(r1 - r0, cols)
+        valid = z != spec.nodata
+        best = np.full(z.shape, -np.inf)
+        for d in range(1, cols):
+            if d > max_dist:
+                break
+            zn = z[:, d:]
+            cur = best[:, :-d]
+            # NoData samples: getValue returns NoData (a huge
+            # negative) and participates — replicate exactly
+            s = (zn - z[:, :-d]) / float(d)
+            best[:, :-d] = np.maximum(cur, s)
+        has_east = np.zeros(z.shape, dtype=bool)
+        has_east[:, :-1] = True
+        angle = np.degrees(np.arctan(best))
+        ok = valid & has_east
+        return pd.DataFrame({
+            "row_id": np.arange(r0, r1),
+            "n_valid": ok.sum(axis=1).astype(np.int64),
+            "row_sum": np.round(
+                np.where(ok, angle, 0.0).sum(axis=1), round_to)})
 
-    return (rd.range(spec.n_tiles)
-            .map_batches(per_tile, batch_format="numpy").to_pandas()
+    return (tile_task(spec.n_tiles, per_tile).to_pandas()
             .sort_values("row_id").reset_index(drop=True))
 
 
@@ -352,46 +346,40 @@ def directional_relief_east(spec: RasterSpec,
     → 0. Per-row suffix sums (O(cols)); one halo row (overlap-read).
     Output: (row_id, n_valid, row_sum)."""
     import pandas as pd
-    import ray.data as rd
 
     from .raster import synth_value
 
     cols = spec.cols
 
-    def per_tile(batch) -> "pd.DataFrame":
-        frames = []
-        for tid in batch["id"]:
-            r0 = int(tid) * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            lo = max(r0 - 1, 0)
-            cell = np.arange(lo * cols, r1 * cols, dtype=np.int64)
-            zext = synth_value(cell).reshape(-1, cols)
-            pad_up = np.full((1, cols), spec.nodata)
-            zup = np.vstack([pad_up, zext])[: r1 - lo + 1]
-            z = zext[r0 - lo:]
-            up = zup[r0 - lo: r0 - lo + (r1 - r0)]
-            valid = z != spec.nodata
-            sample_ok = valid & (up != spec.nodata)
-            sz = np.where(sample_ok, z, 0.0)
-            # suffix (strictly east) sums, right-to-left
-            ssum = np.cumsum(sz[:, ::-1], axis=1)[:, ::-1]
-            scnt = np.cumsum(sample_ok[:, ::-1], axis=1)[:, ::-1]
-            est_sum = np.zeros_like(z)
-            est_cnt = np.zeros_like(z)
-            est_sum[:, :-1] = ssum[:, 1:]
-            est_cnt[:, :-1] = scnt[:, 1:]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                relief = est_sum / est_cnt - z
-            relief = np.where(est_cnt > 0, relief, 0.0)
-            out = np.where(valid, np.round(relief, round_to), 0.0)
-            frames.append(pd.DataFrame({
-                "row_id": np.arange(r0, r1),
-                "n_valid": valid.sum(axis=1).astype(np.int64),
-                "row_sum": np.round(out.sum(axis=1), round_to)}))
-        return pd.concat(frames, ignore_index=True)
+    def per_tile(tid: int) -> "pd.DataFrame":
+        r0, r1 = spec.band(tid)
+        lo = max(r0 - 1, 0)
+        cell = np.arange(lo * cols, r1 * cols, dtype=np.int64)
+        zext = synth_value(cell).reshape(-1, cols)
+        pad_up = np.full((1, cols), spec.nodata)
+        zup = np.vstack([pad_up, zext])[: r1 - lo + 1]
+        z = zext[r0 - lo:]
+        up = zup[r0 - lo: r0 - lo + (r1 - r0)]
+        valid = z != spec.nodata
+        sample_ok = valid & (up != spec.nodata)
+        sz = np.where(sample_ok, z, 0.0)
+        # suffix (strictly east) sums, right-to-left
+        ssum = np.cumsum(sz[:, ::-1], axis=1)[:, ::-1]
+        scnt = np.cumsum(sample_ok[:, ::-1], axis=1)[:, ::-1]
+        est_sum = np.zeros_like(z)
+        est_cnt = np.zeros_like(z)
+        est_sum[:, :-1] = ssum[:, 1:]
+        est_cnt[:, :-1] = scnt[:, 1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            relief = est_sum / est_cnt - z
+        relief = np.where(est_cnt > 0, relief, 0.0)
+        out = np.where(valid, np.round(relief, round_to), 0.0)
+        return pd.DataFrame({
+            "row_id": np.arange(r0, r1),
+            "n_valid": valid.sum(axis=1).astype(np.int64),
+            "row_sum": np.round(out.sum(axis=1), round_to)})
 
-    return (rd.range(spec.n_tiles)
-            .map_batches(per_tile, batch_format="numpy").to_pandas()
+    return (tile_task(spec.n_tiles, per_tile).to_pandas()
             .sort_values("row_id").reset_index(drop=True))
 
 
@@ -405,37 +393,31 @@ def fetch_analysis_east(spec: RasterSpec, height_increment: float = 0.05,
     Per-row offset sweep; message-free across row bands.
     Output: (row_id, n_valid, row_sum)."""
     import pandas as pd
-    import ray.data as rd
 
     from .raster import synth_value
 
     cols = spec.cols
 
-    def per_tile(batch) -> "pd.DataFrame":
-        frames = []
-        for tid in batch["id"]:
-            r0 = int(tid) * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            cell = np.arange(r0 * cols, r1 * cols, dtype=np.int64)
-            z = synth_value(cell).reshape(r1 - r0, cols)
-            valid = z != spec.nodata
-            fetch = np.zeros_like(z)
-            unhit = np.ones_like(valid)
-            for d in range(1, cols):
-                zn = z[:, d:]
-                hit = unhit[:, :-d] & (zn >= z[:, :-d]
-                                       + d * height_increment)
-                fetch[:, :-d] = np.where(hit, float(d), fetch[:, :-d])
-                unhit[:, :-d] &= ~hit
-            out = np.where(valid, fetch, 0.0)
-            frames.append(pd.DataFrame({
-                "row_id": np.arange(r0, r1),
-                "n_valid": valid.sum(axis=1).astype(np.int64),
-                "row_sum": np.round(out.sum(axis=1), round_to)}))
-        return pd.concat(frames, ignore_index=True)
+    def per_tile(tid: int) -> "pd.DataFrame":
+        r0, r1 = spec.band(tid)
+        cell = np.arange(r0 * cols, r1 * cols, dtype=np.int64)
+        z = synth_value(cell).reshape(r1 - r0, cols)
+        valid = z != spec.nodata
+        fetch = np.zeros_like(z)
+        unhit = np.ones_like(valid)
+        for d in range(1, cols):
+            zn = z[:, d:]
+            hit = unhit[:, :-d] & (zn >= z[:, :-d]
+                                   + d * height_increment)
+            fetch[:, :-d] = np.where(hit, float(d), fetch[:, :-d])
+            unhit[:, :-d] &= ~hit
+        out = np.where(valid, fetch, 0.0)
+        return pd.DataFrame({
+            "row_id": np.arange(r0, r1),
+            "n_valid": valid.sum(axis=1).astype(np.int64),
+            "row_sum": np.round(out.sum(axis=1), round_to)})
 
-    return (rd.range(spec.n_tiles)
-            .map_batches(per_tile, batch_format="numpy").to_pandas()
+    return (tile_task(spec.n_tiles, per_tile).to_pandas()
             .sort_values("row_id").reset_index(drop=True))
 
 
@@ -454,48 +436,36 @@ def exposure_wind_flux_east(spec: RasterSpec, azimuth: float = 350.0,
     import pandas as pd
     import ray.data as rd
 
-    from .raster import raster_row_checksums, synth_value
+    from .raster import raster_row_checksums
 
     cols = spec.cols
 
-    def per_tile(batch) -> "pd.DataFrame":
-        out = {"tile_id": [], "data": []}
-        for tid in batch["id"]:
-            tid = int(tid)
-            r0 = tid * spec.tile_rows
-            r1 = min(r0 + spec.tile_rows, spec.rows)
-            H = r1 - r0
-            lo, hi = max(r0 - 1, 0), min(r1 + 1, spec.rows)
-            cell = np.arange(lo * cols, hi * cols, dtype=np.int64)
-            a = synth_value(cell).reshape(hi - lo, cols)
-            p = np.full((H + 2, cols + 2), spec.nodata)
-            p[1 - (r0 - lo):1 - (r0 - lo) + (hi - lo), 1:-1] = a
-            slope = slope_kernel(p, spec.nodata)[1:-1, 1:-1]
-            aspect = aspect_kernel(p, spec.nodata)[1:-1, 1:-1]
-            z = p[1:-1, 1:-1]
-            best = np.full(z.shape, -np.inf)
-            for d in range(1, cols):
-                s = (z[:, d:] - z[:, :-d]) / float(d)
-                best[:, :-d] = np.maximum(best[:, :-d], s)
-            ha = np.degrees(np.arctan(best))
-            ha_valid = (z != spec.nodata)
-            ha_valid[:, -1] = False
-            ra = azimuth - aspect
-            written = ra > 180.0
-            ra2 = np.radians(360.0 - ra)
-            sl = np.radians(slope)
-            hr = np.radians(ha)
-            with np.errstate(invalid="ignore"):
-                f = (np.cos(sl) * np.sin(hr)
-                     + np.sin(sl) * np.cos(hr) * np.cos(ra2))
-            ok = written & (slope != spec.nodata) & \
-                (aspect != spec.nodata) & ha_valid
-            out["tile_id"].append(tid)
-            out["data"].append(np.where(ok, f, spec.nodata).ravel())
-        return pd.DataFrame(out)
+    def per_tile(tid: int) -> "pd.DataFrame":
+        p = padded_band(spec, tid, 1)
+        slope = slope_kernel(p, spec.nodata)[1:-1, 1:-1]
+        aspect = aspect_kernel(p, spec.nodata)[1:-1, 1:-1]
+        z = p[1:-1, 1:-1]
+        best = np.full(z.shape, -np.inf)
+        for d in range(1, cols):
+            s = (z[:, d:] - z[:, :-d]) / float(d)
+            best[:, :-d] = np.maximum(best[:, :-d], s)
+        ha = np.degrees(np.arctan(best))
+        ha_valid = (z != spec.nodata)
+        ha_valid[:, -1] = False
+        ra = azimuth - aspect
+        written = ra > 180.0
+        ra2 = np.radians(360.0 - ra)
+        sl = np.radians(slope)
+        hr = np.radians(ha)
+        with np.errstate(invalid="ignore"):
+            f = (np.cos(sl) * np.sin(hr)
+                 + np.sin(sl) * np.cos(hr) * np.cos(ra2))
+        ok = written & (slope != spec.nodata) & \
+            (aspect != spec.nodata) & ha_valid
+        return {"tile_id": [tid],
+                "data": [np.where(ok, f, spec.nodata).ravel()]}
 
-    tiles = rd.range(spec.n_tiles).map_batches(per_tile,
-                                               batch_format="numpy")
+    tiles = tile_task(spec.n_tiles, per_tile)
     return raster_row_checksums(tiles, spec, round_to=round_to)
 
 

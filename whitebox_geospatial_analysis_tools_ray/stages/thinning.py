@@ -21,7 +21,7 @@ import numpy as np
 import pandas as pd
 import ray
 
-from .raster import NODATA, RasterSpec, synth_value
+from .raster import NODATA, RasterSpec, padded_band, synth_value
 
 _DX = (1, 1, 1, 0, -1, -1, -1, 0)
 _DY = (-1, 0, 1, 1, 1, 0, -1, -1)
@@ -46,9 +46,8 @@ FG_THRESHOLD = 650.0  # synthetic binary input: synth value > threshold
 
 
 def _init_band(spec: RasterSpec, tid: int) -> np.ndarray:
-    r0 = tid * spec.tile_rows
-    r1 = min(r0 + spec.tile_rows, spec.rows)
-    cell = np.arange(r0 * spec.cols, r1 * spec.cols, dtype=np.int64)
+    r0, r1 = spec.band(tid)
+    cell = spec.band_cells(tid)
     z = synth_value(cell).reshape(r1 - r0, spec.cols)
     out = np.where(z == spec.nodata, NODATA,
                    np.where(z > FG_THRESHOLD, 1.0, 0.0))
@@ -63,9 +62,8 @@ def _lines_init_band(spec: RasterSpec, tid: int) -> np.ndarray:
     foreground and every thinning mask — each needs a horizontal
     foreground pair — is structurally unmatchable (measured: 0 cells
     zeroed). This pattern thins 11k cells over 7 in-place passes."""
-    r0 = tid * spec.tile_rows
-    r1 = min(r0 + spec.tile_rows, spec.rows)
-    cell = np.arange(r0 * spec.cols, r1 * spec.cols, dtype=np.int64)
+    r0, r1 = spec.band(tid)
+    cell = spec.band_cells(tid)
     z = synth_value(cell).reshape(r1 - r0, spec.cols)
     r = (cell // spec.cols).reshape(z.shape)
     c = (cell % spec.cols).reshape(z.shape)
@@ -135,7 +133,7 @@ def _iterate(spec: RasterSpec, elements, vals,
     for b in range(n):
         st = ray.get(states[b]) if isinstance(states[b], ray.ObjectRef) \
             else states[b]
-        r0 = b * spec.tile_rows
+        r0 = spec.band(b)[0]
         rows.append(pd.DataFrame({
             "row_id": np.arange(r0, r0 + st.shape[0]),
             "n_foreground": (st == 1.0).sum(axis=1).astype(np.int64)}))
@@ -193,13 +191,7 @@ def remove_spurs_naive(spec: RasterSpec, max_iter: int = 10):
 # ---------------------------------------------------------------------------
 
 def _ridge_init_band(spec: RasterSpec, tid: int) -> np.ndarray:
-    r0 = tid * spec.tile_rows
-    r1 = min(r0 + spec.tile_rows, spec.rows)
-    lo, hi = max(r0 - 1, 0), min(r1 + 1, spec.rows)
-    cell = np.arange(lo * spec.cols, hi * spec.cols, dtype=np.int64)
-    z = synth_value(cell).reshape(hi - lo, spec.cols)
-    pad = np.full((hi - lo + 2, spec.cols + 2), NODATA)
-    pad[1:-1, 1:-1] = z
+    pad = padded_band(spec, tid, 1)
     zc = pad[1:-1, 1:-1]
     n_, s_ = pad[:-2, 1:-1], pad[2:, 1:-1]
     w_, e_ = pad[1:-1, :-2], pad[1:-1, 2:]
@@ -207,8 +199,7 @@ def _ridge_init_band(spec: RasterSpec, tid: int) -> np.ndarray:
     ridge = valid & (
         ((n_ != NODATA) & (s_ != NODATA) & (n_ < zc) & (s_ < zc))
         | ((w_ != NODATA) & (e_ != NODATA) & (w_ < zc) & (e_ < zc)))
-    core = slice(r0 - lo, r0 - lo + (r1 - r0))
-    return np.where(valid, ridge.astype(np.float64), NODATA)[core]
+    return np.where(valid, ridge.astype(np.float64), NODATA)
 
 
 def find_ridges(spec: RasterSpec | None = None, thin: bool = True,
@@ -218,7 +209,7 @@ def find_ridges(spec: RasterSpec | None = None, thin: bool = True,
         rows = []
         for t in range(spec.n_tiles):
             st = _ridge_init_band(spec, t)
-            r0 = t * spec.tile_rows
+            r0 = spec.band(t)[0]
             rows.append(pd.DataFrame({
                 "row_id": np.arange(r0, r0 + st.shape[0]),
                 "n_foreground": (st == 1.0).sum(axis=1).astype(np.int64)}))
@@ -313,7 +304,7 @@ def thicken_line(spec: RasterSpec | None = None) -> pd.DataFrame:
     rows = []
     for b, fut in enumerate(futs):
         st = ray.get(fut)[0]
-        r0 = b * spec.tile_rows
+        r0 = spec.band(b)[0]
         rows.append(pd.DataFrame({
             "row_id": np.arange(r0, r0 + st.shape[0]),
             "n_foreground": (st > 0).sum(axis=1).astype(np.int64)}))

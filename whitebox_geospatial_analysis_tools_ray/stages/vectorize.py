@@ -25,7 +25,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .raster import NODATA, RasterSpec, synth_value
+from .raster import NODATA, RasterSpec, padded_band, synth_value, tile_task
 from .util import combine, groupwise_combine
 
 N_CLASSES = 6
@@ -50,15 +50,9 @@ def classify(z: np.ndarray, nodata: float) -> np.ndarray:
 def _tile_edges(spec: RasterSpec, tid: int) -> pd.DataFrame:
     """Directed boundary edges (value, sx, sy, ex, ey) for one tile,
     halo rows resolving the cross-tile sides."""
-    r0 = tid * spec.tile_rows
-    r1 = min(r0 + spec.tile_rows, spec.rows)
-    lo, hi = max(r0 - 1, 0), min(r1 + 1, spec.rows)
-    cell = np.arange(lo * spec.cols, hi * spec.cols, dtype=np.int64)
-    z = synth_value(cell).reshape(hi - lo, spec.cols)
-    cls = classify(z, spec.nodata)
-    pad = np.full((hi - lo + 2, spec.cols + 2), -1, dtype=np.int64)
-    pad[1:-1, 1:-1] = cls
-    core = slice(r0 - lo + 1, r0 - lo + 1 + (r1 - r0))
+    r0, r1 = spec.band(tid)
+    pad = classify(padded_band(spec, tid, 1), spec.nodata)
+    core = slice(1, 1 + r1 - r0)
     c_cls = pad[core, 1:-1]
     out = {"value": [], "sx": [], "sy": [], "ex": [], "ey": []}
     for (dr, dc), (cx0, cy0), (dx, dy) in _SIDES:
@@ -125,17 +119,16 @@ def raster_to_polygons(spec: RasterSpec | None = None) -> "rd.Dataset":
     """(value, n_rings, perimeter, area) per class value."""
     spec = spec or RasterSpec()
 
-    def edges(batch) -> pd.DataFrame:
-        return pd.concat([_tile_edges(spec, int(t)) for t in batch["id"]],
-                         ignore_index=True)
-
     def per_value(df: pd.DataFrame) -> pd.DataFrame:
         rings, perim, area2 = _assemble(df)
         return pd.DataFrame({"value": [int(df["value"].iloc[0])],
                              "n_rings": [rings], "perimeter": [perim],
                              "area": [area2 // 2]})
 
-    ds = rd.range(spec.n_tiles).map_batches(edges, batch_format="numpy")
+    def edges(tid: int) -> pd.DataFrame:
+        return _tile_edges(spec, tid)
+
+    ds = tile_task(spec.n_tiles, edges)
     return combine(ds, "value",
                    groupwise_combine(per_value, "value")).sort("value")
 
@@ -178,8 +171,7 @@ def _tile_contour_segments(spec: RasterSpec, tid: int,
                            levels: tuple) -> pd.DataFrame:
     from .raster import NODATA as ND
 
-    r0 = tid * spec.tile_rows
-    r1 = min(r0 + spec.tile_rows, spec.rows)
+    r0, r1 = spec.band(tid)
     if r1 >= spec.rows:
         r1 = spec.rows - 1  # last row owns no square
         if r1 <= r0:
@@ -296,10 +288,6 @@ def contour_polylines(spec: RasterSpec | None = None,
     """(level, n_segments, n_polylines, n_closed, total_length)."""
     spec = spec or RasterSpec()
 
-    def segs(batch) -> pd.DataFrame:
-        return pd.concat([_tile_contour_segments(spec, int(t), levels)
-                          for t in batch["id"]], ignore_index=True)
-
     def per_level(df: pd.DataFrame) -> pd.DataFrame:
         n, n_poly, n_closed, length = _chain_segments(df)
         return pd.DataFrame({"level": [float(df["level"].iloc[0])],
@@ -307,7 +295,10 @@ def contour_polylines(spec: RasterSpec | None = None,
                              "n_closed": [n_closed],
                              "total_length": [round(length, round_to)]})
 
-    ds = rd.range(spec.n_tiles).map_batches(segs, batch_format="numpy")
+    def segs(tid: int) -> pd.DataFrame:
+        return _tile_contour_segments(spec, tid, levels)
+
+    ds = tile_task(spec.n_tiles, segs)
     return combine(ds, "level",
                    groupwise_combine(per_level, "level")).sort("level")
 
@@ -362,25 +353,17 @@ _RTVL_FG = 650.0    # same synthetic binary input rule as stages/thinning
 
 def _rtvl_loop1_band(spec, tid: int) -> np.ndarray:
     """Stateless loop 1 on the band + 1-row halo, vectorized."""
-    from .raster import synth_value
 
-    r0 = tid * spec.tile_rows
-    r1 = min(r0 + spec.tile_rows, spec.rows)
-    lo, hi = max(r0 - 1, 0), min(r1 + 1, spec.rows)
-    cell = np.arange(lo * spec.cols, hi * spec.cols, dtype=np.int64)
-    z = synth_value(cell).reshape(hi - lo, spec.cols)
-    fg = ((z > _RTVL_FG) & (z != spec.nodata)).astype(np.float64)
-    pad = np.zeros((hi - lo + 2, spec.cols + 2))
-    pad[1:-1, 1:-1] = fg
+    z = padded_band(spec, tid, 1)
+    pad = ((z > _RTVL_FG) & (z != spec.nodata)).astype(np.float64)
+    fg = pad[1:-1, 1:-1]
     H, W = fg.shape
     nsum = np.zeros((H, W))
     for i in range(8):
         nsum += pad[1 + _RTVL_DY[i]:1 + _RTVL_DY[i] + H,
                     1 + _RTVL_DX[i]:1 + _RTVL_DX[i] + W]
     keep = (fg == 1.0) & (nsum > 0) & (nsum < 8)
-    out = keep.astype(np.float64)
-    sl = slice(r0 - lo, r0 - lo + (r1 - r0))
-    return out[sl]
+    return keep.astype(np.float64)
 
 
 def _rtvl_scan01(pad: np.ndarray) -> None:
