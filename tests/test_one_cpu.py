@@ -103,18 +103,18 @@ def test_no_actor_pool_stages_in_package():
 
 
 def test_parquet_reads_go_through_read_table():
-    """Every Parquet read in the package outside ``sources/`` goes
-    through ``sources.read_table``, which owns the read fan-out."""
+    """Every Parquet read in the package goes through
+    ``sources.read_table``, which owns the read fan-out and the reader:
+    no ``read_parquet`` call anywhere in the package."""
     offenders = [
         f"{path.relative_to(ROOT)}:{node.lineno}"
         for path in sorted(PACKAGE.rglob("*.py"))
-        if path.parent.name != "sources"
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call)
         and getattr(node.func, "attr", getattr(node.func, "id", None))
         == "read_parquet"]
     assert not offenders, (
-        "read_parquet outside sources/; use sources.read_table:\n"
+        "read_parquet call; use sources.read_table:\n"
         + "\n".join(offenders))
 
 

@@ -1,13 +1,14 @@
 """The row-band model of ``stages/raster.py``: ``RasterSpec.band`` and
 ``padded_band`` agree, tile by tile, with slices of one whole-grid
-NoData pad, on ragged grids and on halos wider than a tile."""
+NoData pad, on ragged grids and on halos wider than a tile. The
+halo-exchange ``stencil_apply`` refuses a halo wider than a tile."""
 
 import numpy as np
 import pytest
 
 from whitebox_geospatial_analysis_tools_ray.core.rng import NODATA
 from whitebox_geospatial_analysis_tools_ray.stages.raster import (
-    RasterSpec, padded_band, synth_class_value, synth_value)
+    RasterSpec, padded_band, stencil_apply, synth_class_value, synth_value)
 
 pytestmark = pytest.mark.no_ray
 
@@ -57,3 +58,11 @@ def test_padded_band_is_a_slice_of_the_whole_pad(spec, halo, regen):
 def test_last_band_is_short():
     assert RasterSpec(rows=65, cols=7, tile_rows=16).band(4) == (64, 65)
     assert RasterSpec(rows=70, cols=9, tile_rows=16).band(4) == (64, 70)
+
+
+@pytest.mark.parametrize("tile_rows, halo", [(1, 2), (2, 3)])
+def test_halo_exchange_rejects_halo_wider_than_a_tile(tile_rows, halo):
+    spec = RasterSpec(rows=9, cols=4, tile_rows=tile_rows)
+    with pytest.raises(ValueError, match=f"tile_rows={tile_rows} < "
+                       f"halo={halo}"):
+        stencil_apply(None, spec, lambda p: p, halo=halo)

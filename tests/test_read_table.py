@@ -2,12 +2,17 @@
 
 Its fan-out rule is one read task per file for several files, capped at
 4 per CPU (at least 128) and at one per MiB, and Ray's default for a
-single file. Task counts are read from ``Dataset.stats()``. A shard
-whose footer is cut off raises an error that names the file.
+single file. Task counts are read from ``Dataset.stats()``. Each read
+task is one block, so a ``batch_size=None`` map sees one batch per
+task. A shard whose footer is cut off, or whose data page is corrupt,
+raises an error that names the file.
 """
 
 import os
 import re
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pyarrow as pa
@@ -21,6 +26,7 @@ from whitebox_geospatial_analysis_tools_ray.sources import MIB, read_table
 from whitebox_geospatial_analysis_tools_ray.sources.pages import (
     make_pages_ids, skew_ids)
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 N_PAGES = 4_000           # 4 uncompressed shards of 1,000 pages, each over 1 MiB
 HOT_FRAC = 0.5
 _OP_TASKS = re.compile(r"^Operator \d+ .+?: (\d+) tasks executed", re.MULTILINE)
@@ -61,14 +67,48 @@ def test_one_task_per_file(ray_session, pages_dir):
         [os.path.join(pages_dir, f) for f in files])) == 4
 
 
-def test_many_tiny_files_no_more_tasks_than_default(ray_session, tmp_path):
-    paths = []
-    for i in range(237):
-        paths.append(str(tmp_path / f"part-{i}.parquet"))
-        pq.write_table(pa.table({"k": [i], "v": [float(i)]}), paths[-1])
+def batch_rows(ds) -> list[int]:
+    """Row counts of the batches a ``batch_size=None`` map receives."""
+    def rows(batch):            # nested, so workers unpickle it by value
+        return pa.table({"rows": [batch.num_rows]})
+
+    return sorted(ds.map_batches(rows, batch_format="pyarrow",
+                                 batch_size=None).to_pandas()["rows"])
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tmp_path_factory):
+    """237 one-row files, the partition count of a checkpointed
+    flagship output."""
+    d = tmp_path_factory.mktemp("tiny")
+    paths = [str(d / f"part-{i}.parquet") for i in range(237)]
+    for i, path in enumerate(paths):
+        pq.write_table(pa.table({"k": [i], "v": [float(i)]}), path)
+    return paths
+
+
+def test_many_tiny_files_no_more_tasks_than_default(ray_session, tiny_files):
+    paths = tiny_files
     got = read_table(paths)
     assert read_map_tasks(got) <= read_map_tasks(rd.read_parquet(paths))
     assert sorted(got.to_pandas()["k"]) == list(range(237))
+
+
+def test_one_batch_per_shard(ray_session, tmp_path):
+    """Two 15,625-row shards (each over 1 MiB, so one task each) reach
+    the map as one batch each, not as Ray's 10,000-row fragments."""
+    pad = pa.array([b"x" * 100] * 15_625)
+    for i in range(2):
+        pq.write_table(pa.table({"k": np.arange(15_625), "pad": pad}),
+                       tmp_path / f"part-{i}.parquet", compression="none",
+                       use_dictionary=False)
+    assert batch_rows(read_table(str(tmp_path))) == [15_625, 15_625]
+
+
+def test_one_batch_per_read_task(ray_session, tiny_files):
+    ds = read_table(tiny_files)
+    assert batch_rows(ds) == [237]
+    assert read_map_tasks(ds) == 1
 
 
 def test_single_file_keeps_default(ray_session):
@@ -96,3 +136,63 @@ def test_truncated_footer_names_the_file(ray_session, tmp_path, layout):
     with pytest.raises(pa.ArrowInvalid, match=re.escape(
             f"Could not open Parquet input source '{bad}'")):
         read_table(path).materialize()
+
+
+CORRUPT_SCRIPT = f"""
+import sys
+sys.path[:0] = [{ROOT!r}]
+import pyarrow as pa
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+ray.data.DataContext.get_current().enable_progress_bars = False
+from whitebox_geospatial_analysis_tools_ray.sources import read_table
+for d in sys.argv[1:]:
+    try:
+        read_table(d).materialize()
+        print("no error", d, flush=True)
+    except pa.ArrowInvalid as err:
+        print("ArrowInvalid", " ".join(str(err).split()), flush=True)
+ray.shutdown()
+"""
+CORRUPT_TIMEOUT_S = 90
+
+
+def test_corrupt_data_page_names_the_file(tmp_path):
+    """A 100 k-row file of 25 k-row row groups with 16 zeroed bytes over
+    the first data page of row group 0 or 2 raises a typed error naming
+    the file. The read runs in a child process under a deadline, so a
+    read that never returns fails the test instead of hanging it."""
+    table = pa.table({"k": np.arange(100_000),
+                      "v": np.arange(100_000) * 0.5})
+    bad = []
+    for rg in (0, 2):
+        d = tmp_path / f"rg{rg}"
+        d.mkdir()
+        path = d / "part-0.parquet"
+        pq.write_table(table, path, row_group_size=25_000)
+        offset = pq.read_metadata(path).row_group(rg).column(0) \
+            .data_page_offset
+        with open(path, "r+b") as f:
+            f.seek(offset)
+            f.write(bytes(16))
+        bad.append(str(path))
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", CORRUPT_SCRIPT, *map(os.path.dirname, bad)],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=CORRUPT_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, _ = proc.communicate()
+        pytest.fail(f"corrupt page read still running after "
+                    f"{CORRUPT_TIMEOUT_S} s:\n{out[-3000:]}")
+    assert proc.returncode == 0, out[-3000:]
+    errors = [line for line in out.splitlines()
+              if line.startswith("ArrowInvalid ")]
+    assert len(errors) == 2, out[-3000:]
+    for path, line in zip(bad, errors):
+        assert f"Could not open Parquet input source '{path}'" in line, line
+        assert "Deserializing page header failed" in line, line

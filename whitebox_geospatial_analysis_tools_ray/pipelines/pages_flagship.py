@@ -60,10 +60,11 @@ def pages_flagship(pages_dir: str, tile_width: float = 250.0) -> "rd.Dataset":
         return x, y, n_chars
 
     ds = read_table(pages_dir, columns=["url", "html"])
-    # batch_size=None → one batch per 15,625-row shard block: 128 equal
-    # tasks (4 clean waves on 32 CPUs) and read→map fusion; bundling to
-    # larger batches made 43 ragged tasks whose last wave idled a third
-    # of the machine.
+    # batch_size=None → one batch per read task, which read_table makes
+    # one block: a whole 15,625-row shard per task, 128 equal tasks (4
+    # clean waves on 32 CPUs) and read→map fusion; bundling to larger
+    # batches made 43 ragged tasks whose last wave idled a third of the
+    # machine.
     return zone_tile_counts(ds, page_points, tile_width, "n_pages",
                             "sum_chars", batch_format="pyarrow",
                             batch_size=None)

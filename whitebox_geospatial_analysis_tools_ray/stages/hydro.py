@@ -1706,20 +1706,15 @@ def min_downslope_elev_change(spec: RasterSpec) -> "rd.Dataset":
 
 
 def _ptr_halo(spec: RasterSpec, tid: int):
-    """(z_ext, ptr_ext) with one halo row above/below (from the
-    adjacent tiles' own pointer computations)."""
-    z, ptr = _tile_pointers(spec, tid)
-    h = z.shape[0]
-    cols = spec.cols
-    ze = np.full((h + 2, cols), spec.nodata)
-    pe = np.zeros((h + 2, cols))
-    ze[1:-1], pe[1:-1] = z, ptr
-    if tid > 0:
-        zt, pt = _tile_pointers(spec, tid - 1)
-        ze[0], pe[0] = zt[-1], pt[-1]
-    if tid + 1 < spec.n_tiles:
-        zb, pb = _tile_pointers(spec, tid + 1)
-        ze[-1], pe[-1] = zb[0], pb[0]
+    """(z_ext, ptr_ext) with one halo row above/below: one pointer strip
+    over the band and its in-grid neighbour rows (exact by tiling
+    invariance), NoData z and a 0 pointer beyond the grid."""
+    r0, r1 = spec.band(tid)
+    lo, hi = max(r0 - 1, 0), min(r1 + 1, spec.rows)
+    ze = np.full((r1 - r0 + 2, spec.cols), spec.nodata)
+    pe = np.zeros((r1 - r0 + 2, spec.cols))
+    ze[lo - r0 + 1:hi - r0 + 1], pe[lo - r0 + 1:hi - r0 + 1] = \
+        _strip_pointers(spec, lo, hi)
     return ze, pe
 
 

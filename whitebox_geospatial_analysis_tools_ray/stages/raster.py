@@ -202,9 +202,17 @@ def stencil_apply(ds: "rd.Dataset", spec: RasterSpec, kernel,
     terrain-derivative family; shuffle key = target tile id. When the
     raster is SOURCE-BACKED pass ``regen`` to switch to the overlap-read
     plan (stencil_apply_regen) — no shuffle at all.
+
+    The exchange sends halo rows only to tiles ``tid ± 1``, so it needs
+    ``tile_rows >= halo``; a narrower tile raises ``ValueError`` (the
+    overlap-read plan has no such limit).
     """
     if regen is not None:
         return stencil_apply_regen(spec, kernel, halo=halo, regen=regen)
+    if spec.tile_rows < halo:
+        raise ValueError(f"stencil_apply: tile_rows={spec.tile_rows} < "
+                         f"halo={halo}; the halo exchange reaches only "
+                         "the adjacent tiles")
 
     def emit(batch: pd.DataFrame) -> pd.DataFrame:
         out = {"target": [], "kind": [], "data": []}

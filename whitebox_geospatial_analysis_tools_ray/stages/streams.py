@@ -45,7 +45,8 @@ import numpy as np
 import pandas as pd
 import ray
 
-from .hydro import _tile_pointers, flow_accumulation_tile_refs
+from .hydro import (_ptr_halo, _tile_pointers,
+                    flow_accumulation_tile_refs)
 from .raster import RasterSpec, tile_task
 from .terrain import _DX, _DY
 from .util import combine
@@ -342,19 +343,13 @@ def _tile_halo_arrays(spec: RasterSpec, tid: int, acc_all: dict,
                       threshold: float):
     """Tile arrays extended by one halo row above and below (from the
     adjacent row-band tiles): (z_ext, ptr_ext, acc_ext, stream_ext)."""
-    z, ptr = _tile_pointers(spec, tid)
-    h = z.shape[0]
-    cols = spec.cols
-    ze = np.full((h + 2, cols), spec.nodata)
-    pe = np.zeros((h + 2, cols))
-    ae = np.zeros((h + 2, cols))
-    ze[1:-1], pe[1:-1], ae[1:-1] = z, ptr, acc_all[tid]
+    ze, pe = _ptr_halo(spec, tid)
+    ae = np.zeros_like(pe)
+    ae[1:-1] = acc_all[tid]
     if tid > 0:
-        zt, pt = _tile_pointers(spec, tid - 1)
-        ze[0], pe[0], ae[0] = zt[-1], pt[-1], acc_all[tid - 1][-1]
+        ae[0] = acc_all[tid - 1][-1]
     if tid + 1 < spec.n_tiles:
-        zb, pb = _tile_pointers(spec, tid + 1)
-        ze[-1], pe[-1], ae[-1] = zb[0], pb[0], acc_all[tid + 1][0]
+        ae[-1] = acc_all[tid + 1][0]
     se = (ze != spec.nodata) & (ae >= threshold)
     return ze, pe, ae, se
 
@@ -1149,15 +1144,10 @@ def _hillslope_plane(spec: RasterSpec, threshold: float, tid: int,
     cols = spec.cols
     _order, _mag, link, stream = topo
     link = link.astype(np.int64)
-    z, ptr = _tile_pointers(spec, tid)
-    up_sp = None
-    if up_topo is not None:
-        _zt, pt = _tile_pointers(spec, tid - 1)
-        up_sp = (up_topo[3][-1], pt[-1])
-    dn_sp = None
-    if dn_topo is not None:
-        _zt, pt = _tile_pointers(spec, tid + 1)
-        dn_sp = (dn_topo[3][0], pt[0])
+    ze, pe = _ptr_halo(spec, tid)
+    z, ptr = ze[1:-1], pe[1:-1]
+    up_sp = None if up_topo is None else (up_topo[3][-1], pe[0])
+    dn_sp = None if dn_topo is None else (dn_topo[3][0], pe[-1])
     heads = _head_mask(stream, ptr,
                        up_sp[0] if up_sp else None,
                        up_sp[1] if up_sp else None,
@@ -2195,7 +2185,7 @@ def find_saddle_points(spec: RasterSpec | None = None,
         off = r0 - vr0                  # own rows inside vext
         valley = vext[off:off + H]
         # head = valley cell, valid ptr, no inflowing VALLEY nbr
-        ze, pe = _ptr_halo_streams(spec, tid)
+        ze, pe = _ptr_halo(spec, tid)
         vpad = np.zeros((H + 2, cols + 2), dtype=bool)
         vpad[1:-1, 1:-1] = valley
         if off >= 1:
@@ -2329,11 +2319,6 @@ def _saddle_scan(spec: RasterSpec, tid: int, lab, up_last, dn_first) -> dict:
             if L not in best or key < best[L]:
                 best[L] = key
     return best
-
-
-def _ptr_halo_streams(spec: RasterSpec, tid: int):
-    from .hydro import _ptr_halo
-    return _ptr_halo(spec, tid)
 
 
 def find_saddle_points_naive(spec: RasterSpec) -> pd.DataFrame:
