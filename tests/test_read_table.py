@@ -4,8 +4,9 @@ Its fan-out rule is one read task per file for several files, capped at
 4 per CPU (at least 128) and at one per MiB, and Ray's default for a
 single file. Task counts are read from ``Dataset.stats()``. Each read
 task is one block, so a ``batch_size=None`` map sees one batch per
-task. A shard whose footer is cut off, or whose data page is corrupt,
-raises an error that names the file.
+task. A single file's plan is ``read_parquet``'s. A shard whose footer
+is cut off, whose data page is corrupt, or whose schema cannot be cast
+to the first file's raises an error that names the file.
 """
 
 import os
@@ -117,6 +118,31 @@ def test_single_file_keeps_default(ray_session):
             == read_map_tasks(rd.read_parquet(path, columns=["doc_id"])))
 
 
+@pytest.mark.parametrize("table,columns", [
+    ("documents", ["doc_id"]),
+    ("documents", ["doc_id", "text"]),
+    ("lineitem", ["l_returnflag", "l_linestatus", "l_quantity",
+                  "l_extendedprice", "l_discount", "l_shipdate"]),
+    ("events", ["ts", "user_id"]),
+    ("embeddings", None)])
+def test_single_file_estimate_is_read_parquets(ray_session, table, columns):
+    """Ray sets a single file's read parallelism and block split from the
+    in-memory estimate, so the estimate must be ``read_parquet``'s for
+    the plan to be: at 8 CPUs, 6 columns of the sf0.1 lineitem split into
+    24 blocks with it and 16 with the raw footer sizes. Compared directly,
+    since at the test's CPU count the 2-blocks-per-CPU floor hides it."""
+    from ray.data._internal.datasource.parquet_datasource import (
+        ParquetDatasource)
+
+    from whitebox_geospatial_analysis_tools_ray.sources.parquet import (
+        ParquetFilesDatasource)
+    path = f"{SF_DIR}/{table}.parquet"
+    want = ParquetDatasource(path, columns=columns)
+    got = ParquetFilesDatasource([path], columns)
+    assert (abs(got.estimate_inmemory_data_size()
+                - want.estimate_inmemory_data_size()) <= 1)
+
+
 def test_pages_exact_dedup_matches_oracle(ray_session, duck, pages_dir):
     from whitebox_geospatial_analysis_tools_ray.stages.dedup import (
         pages_exact_dedup)
@@ -138,6 +164,20 @@ def test_truncated_footer_names_the_file(ray_session, tmp_path, layout):
         read_table(path).materialize()
 
 
+@pytest.mark.parametrize("second", ["missing column", "uncastable type"])
+def test_schema_mismatch_names_the_file(ray_session, tmp_path, second):
+    """Every file is cast to the first file's schema; a file that cannot
+    be raises the named error from the read task."""
+    pq.write_table(pa.table({"k": [1, 2], "v": pa.array([None, None])}),
+                   tmp_path / "part-0.parquet")
+    bad = tmp_path / "part-1.parquet"
+    pq.write_table(pa.table({"k": [3]}) if second == "missing column"
+                   else pa.table({"k": [3], "v": ["x"]}), bad)
+    with pytest.raises(pa.ArrowInvalid, match=re.escape(
+            f"Could not open Parquet input source '{bad}'")):
+        read_table(str(tmp_path)).materialize()
+
+
 CORRUPT_SCRIPT = f"""
 import sys
 sys.path[:0] = [{ROOT!r}]
@@ -149,10 +189,17 @@ ray.data.DataContext.get_current().enable_progress_bars = False
 from whitebox_geospatial_analysis_tools_ray.sources import read_table
 for d in sys.argv[1:]:
     try:
-        read_table(d).materialize()
+        ds = read_table(d)
+    except pa.ArrowInvalid as err:
+        print("plan ArrowInvalid", " ".join(str(err).split()), flush=True)
+        continue
+    try:
+        ds.materialize()
         print("no error", d, flush=True)
     except pa.ArrowInvalid as err:
-        print("ArrowInvalid", " ".join(str(err).split()), flush=True)
+        where = ("task" if isinstance(err, ray.exceptions.RayTaskError)
+                 else "driver")
+        print(where, "ArrowInvalid", " ".join(str(err).split()), flush=True)
 ray.shutdown()
 """
 CORRUPT_TIMEOUT_S = 90
@@ -161,8 +208,11 @@ CORRUPT_TIMEOUT_S = 90
 def test_corrupt_data_page_names_the_file(tmp_path):
     """A 100 k-row file of 25 k-row row groups with 16 zeroed bytes over
     the first data page of row group 0 or 2 raises a typed error naming
-    the file. The read runs in a child process under a deadline, so a
-    read that never returns fails the test instead of hanging it."""
+    the file: row group 0 from the plan, whose encoding-ratio sample
+    reads its first rows in the driver, and row group 2 from the read
+    task, with no retry. The read runs in a child process under a
+    deadline, so a read that never returns fails the test instead of
+    hanging it."""
     table = pa.table({"k": np.arange(100_000),
                       "v": np.arange(100_000) * 0.5})
     bad = []
@@ -191,8 +241,9 @@ def test_corrupt_data_page_names_the_file(tmp_path):
                     f"{CORRUPT_TIMEOUT_S} s:\n{out[-3000:]}")
     assert proc.returncode == 0, out[-3000:]
     errors = [line for line in out.splitlines()
-              if line.startswith("ArrowInvalid ")]
+              if " ArrowInvalid " in line]
     assert len(errors) == 2, out[-3000:]
-    for path, line in zip(bad, errors):
+    for path, where, line in zip(bad, ["plan", "task"], errors):
+        assert line.startswith(f"{where} ArrowInvalid "), line
         assert f"Could not open Parquet input source '{path}'" in line, line
         assert "Deserializing page header failed" in line, line

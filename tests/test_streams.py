@@ -317,6 +317,15 @@ def test_remove_short_streams_matches_walk_and_tiling(ray_session):
         min_length=3.0).reset_index(drop=True)
     for col in want.columns:
         assert int(alt[col].iloc[0]) == int(want[col].iloc[0]), col
+    # 1-row tiles: the two-row halo spans two neighbour tiles per side
+    spec = RasterSpec(rows=40, cols=40, tile_rows=1)
+    want = streams.remove_short_streams_naive(spec, threshold=2.0,
+                                              min_length=3.0)
+    got = streams.remove_short_streams(spec, threshold=2.0,
+                                       min_length=3.0).reset_index(drop=True)
+    for col in want.columns:
+        assert int(got[col].iloc[0]) == int(want[col].iloc[0]), col
+    assert int(want["n_removed_links"].iloc[0]) > 0
 
 
 def test_trace_downslope_flowpaths_matches_naive_and_tiling(ray_session):

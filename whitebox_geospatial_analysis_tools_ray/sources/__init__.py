@@ -15,6 +15,9 @@ def read_table(path, columns: list[str] | None = None):
 
     - **Plan from footers.** Each file's footer gives its row count,
       uncompressed size and schema; there is no plan-time sampling task.
+      A single file's size is scaled by Ray's encoding ratio, read in
+      the driver from the first rows of its row group 0, since Ray
+      picks that file's read parallelism and block split from it.
       Every file is cast to the first file's schema if its own differs.
     - **Whole files, one block per read task.** A read task decodes its
       files with ``pq.read_table(..., use_threads=False)`` (the one CPU
@@ -23,15 +26,16 @@ def read_table(path, columns: list[str] | None = None):
       shard as one batch, not Ray's 10,000 + 5,625 fragment batches,
       and the 237 tiny partition files of a checkpoint read as one.
     - **Errors name the file.** A footer or data page that fails to
-      decode raises ``ArrowInvalid: Could not open Parquet input source
+      decode, or a schema that cannot be cast to the first file's,
+      raises ``ArrowInvalid: Could not open Parquet input source
       '<path>': <reason>`` from the plan or the task, with no retry.
 
     Fan-out rule:
 
     - **One file** is one read task, which Ray splits to its default
-      read parallelism (``SplitBlocks``), so every sf-dir table keeps
-      its plan and a large single file still spreads across the
-      cluster's CPUs.
+      read parallelism (``SplitBlocks``) from the same estimate as
+      ``read_parquet``, so every sf-dir table keeps its plan and a
+      large single file still spreads across the cluster's CPUs.
     - **Several files** get ``min(n_files, max(4 · cluster CPUs, 128),
       ceil(Σ file bytes / 1 MiB))`` read tasks, each a contiguous run
       of files.

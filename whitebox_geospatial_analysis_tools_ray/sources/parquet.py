@@ -1,8 +1,10 @@
 """The Parquet datasource behind :func:`sources.read_table`.
 
 Whole files per read task: the plan reads each file's footer once for
-its row count, uncompressed size and schema, and each read task decodes
-its files with ``pq.read_table`` and returns them as one block.
+its row count, uncompressed size and schema (and, for a single file,
+the first rows of row group 0 for its encoding ratio), and each read
+task decodes its files with ``pq.read_table`` and returns them as one
+block.
 """
 
 from __future__ import annotations
@@ -13,9 +15,12 @@ import pyarrow.parquet as pq
 from ray.data import Datasource, ReadTask
 from ray.data.block import BlockMetadata
 
+SAMPLE_ROWS = 1024      # Ray's PARQUET_ENCODING_RATIO_ESTIMATE_NUM_ROWS
+SAMPLE_BUFFER = 1 << 16  # stream pages, so the sample reads its pages only
+
 
 def _named(path: str, err: Exception) -> pa.ArrowInvalid:
-    """A footer or page decode error, retyped to name the file."""
+    """A footer, page or schema error, retyped to name the file."""
     return pa.ArrowInvalid(f"Could not open Parquet input source '{path}': "
                            f"{err}")
 
@@ -28,10 +33,10 @@ def _read_files(paths: list[str], columns: list[str] | None,
     for path in paths:
         try:
             table = pq.read_table(path, columns=columns, use_threads=False)
-        except (pa.ArrowException, OSError) as err:
+            if not table.schema.equals(schema):
+                table = table.select(schema.names).cast(schema)
+        except (pa.ArrowException, OSError, KeyError) as err:
             raise _named(path, err) from err
-        if not table.schema.equals(schema):
-            table = table.select(schema.names).cast(schema)
         tables.append(table)
     return [pa.concat_tables(tables)]
 
@@ -43,17 +48,41 @@ def _footer(path: str) -> pq.FileMetaData:
         raise _named(path, err) from err
 
 
-def _uncompressed_bytes(meta: pq.FileMetaData, names: set[str]) -> int:
-    """Σ uncompressed size of the column chunks of top-level ``names``."""
-    return sum(col.total_uncompressed_size
-               for rg in map(meta.row_group, range(meta.num_row_groups))
-               for col in map(rg.column, range(rg.num_columns))
-               if col.path_in_schema.split(".")[0] in names)
+def _total_bytes(meta: pq.FileMetaData) -> int:
+    """Σ uncompressed size of the file's row groups, all columns."""
+    return sum(meta.row_group(i).total_byte_size
+               for i in range(meta.num_row_groups))
+
+
+def _encoding_ratio(path: str, meta: pq.FileMetaData,
+                    columns: list[str] | None) -> float:
+    """Ray's in-memory / uncompressed size ratio: the Arrow bytes per row
+    of the first ``SAMPLE_ROWS`` rows of ``columns`` in row group 0 over
+    the footer's uncompressed bytes per row (all columns), at least 1.
+    Read in the driver, not in a task, through a buffered stream, so
+    only the first pages of each column chunk are read and decoded."""
+    if meta.num_rows == 0 or _total_bytes(meta) == 0:
+        return 1.0
+    try:
+        pf = pq.ParquetFile(path, buffer_size=SAMPLE_BUFFER)
+        batch = next(pf.iter_batches(
+            batch_size=min(SAMPLE_ROWS, meta.row_group(0).num_rows),
+            row_groups=[0], columns=columns, use_threads=False))
+    except (pa.ArrowException, OSError) as err:
+        raise _named(path, err) from err
+    return max(batch.nbytes / batch.num_rows
+               / (_total_bytes(meta) / meta.num_rows), 1.0)
 
 
 class ParquetFilesDatasource(Datasource):
     """``files`` (in order) as ``columns`` (all when None), split into
-    contiguous runs of whole files, one read task and one block per run."""
+    contiguous runs of whole files, one read task and one block per run.
+
+    Sizes are each file's uncompressed bytes (all columns). Ray picks a
+    single file's read parallelism and split from their sum, so one file
+    is scaled by its encoding ratio, as ``read_parquet`` scales it: the
+    plan is ``read_parquet``'s. Several files keep the footer sizes, since
+    ``read_table`` sets their task count itself."""
 
     def __init__(self, files: list[str], columns: list[str] | None):
         footers = list(map(_footer, files))
@@ -61,10 +90,11 @@ class ParquetFilesDatasource(Datasource):
         if columns is not None:
             schema = pa.schema([schema.field(c) for c in columns],
                                metadata=schema.metadata)
+        ratio = (_encoding_ratio(files[0], footers[0], columns)
+                 if len(files) == 1 else 1.0)
         self._files, self._columns, self._schema = files, columns, schema
         self._rows = [meta.num_rows for meta in footers]
-        self._bytes = [_uncompressed_bytes(meta, set(schema.names))
-                       for meta in footers]
+        self._bytes = [int(_total_bytes(meta) * ratio) for meta in footers]
 
     def get_name(self) -> str:
         return "Parquet"

@@ -45,7 +45,7 @@ import numpy as np
 import pandas as pd
 import ray
 
-from .hydro import (_ptr_halo, _tile_pointers,
+from .hydro import (_ptr_halo, _strip_pointers, _tile_pointers,
                     flow_accumulation_tile_refs)
 from .raster import RasterSpec, tile_task
 from .terrain import _DX, _DY
@@ -1542,38 +1542,37 @@ def remove_short_streams(spec: RasterSpec | None = None,
 
     spec = spec or RasterSpec()
     cols = spec.cols
-    n = spec.n_tiles
     acc_refs = flow_accumulation_tile_refs(spec)
     topo_refs = stream_topology_tile_refs(spec, threshold)
+
+    def _halo_tiles(tid: int) -> range:
+        """Tiles holding rows of ``tid``'s band and its two-row halo."""
+        r0, r1 = spec.band(tid)
+        return range(max(r0 - 2, 0) // spec.tile_rows,
+                     (min(r1 + 2, spec.rows) - 1) // spec.tile_rows + 1)
 
     def _two_halo(tid: int, acc_all):
         """Like _tile_halo_arrays but with a TWO-row halo: the
         confluence-end test inspects the RECEIVER's inflows, and a
         receiver in the first halo row has inflowing neighbours one row
-        further out."""
-        z, ptr = _tile_pointers(spec, tid)
-        h = z.shape[0]
-        ze = np.full((h + 4, cols), spec.nodata)
-        pe = np.zeros((h + 4, cols))
-        ae = np.zeros((h + 4, cols))
-        ze[2:-2], pe[2:-2], ae[2:-2] = z, ptr, acc_all[tid]
-        if tid > 0:
-            zt, pt = _tile_pointers(spec, tid - 1)
-            k = min(2, zt.shape[0])
-            ze[2 - k:2], pe[2 - k:2], ae[2 - k:2] = \
-                zt[-k:], pt[-k:], acc_all[tid - 1][-k:]
-        if tid + 1 < spec.n_tiles:
-            zb, pb = _tile_pointers(spec, tid + 1)
-            k = min(2, zb.shape[0])
-            ze[h + 2:h + 2 + k], pe[h + 2:h + 2 + k], ae[h + 2:h + 2 + k] = \
-                zb[:k], pb[:k], acc_all[tid + 1][:k]
+        further out. One pointer strip over the band and its in-grid
+        halo rows (exact by tiling invariance); NoData beyond the grid."""
+        r0, r1 = spec.band(tid)
+        lo, hi = max(r0 - 2, 0), min(r1 + 2, spec.rows)
+        ze = np.full((r1 - r0 + 4, cols), spec.nodata)
+        pe = np.zeros((r1 - r0 + 4, cols))
+        ae = np.zeros((r1 - r0 + 4, cols))
+        rows = slice(lo - r0 + 2, hi - r0 + 2)
+        ze[rows], pe[rows] = _strip_pointers(spec, lo, hi)
+        tiles = _halo_tiles(tid)
+        a0 = spec.band(tiles[0])[0]
+        ae[rows] = np.concatenate([acc_all[t] for t in tiles])[lo - a0:hi - a0]
         se = (ze != spec.nodata) & (ae >= threshold)
         return ze, pe, ae, se
 
     def per_tile(tid: int) -> pd.DataFrame:
-        # ≤3 acc tiles (two-row halo) + this tile's topology only
-        acc_local = {t: ray.get(acc_refs[t])
-                     for t in (tid - 1, tid, tid + 1) if 0 <= t < n}
+        # the acc tiles of the two-row halo + this tile's topology only
+        acc_local = {t: ray.get(acc_refs[t]) for t in _halo_tiles(tid)}
         ze, pe, ae, se = _two_halo(tid, acc_local)
         _, mag, label, _ = ray.get(topo_refs[tid])
         H = label.shape[0]
